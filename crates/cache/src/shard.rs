@@ -259,14 +259,6 @@ impl DistributedStore {
         Ok(())
     }
 
-    /// Live nodes count.
-    pub fn alive_nodes(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| s.alive.load(Ordering::Relaxed))
-            .count()
-    }
-
     /// Per-shard cache counters for node `k`.
     pub fn shard_stats(&self, k: usize) -> CacheStats {
         self.shards[k].cache.stats()

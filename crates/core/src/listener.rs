@@ -11,7 +11,7 @@
 //!
 //! * **quiescence gate** — a new file is submitted only once its size is
 //!   unchanged across two consecutive polls ([`ListenerConfig::require_quiescence`]);
-//!   the final sweep at [`Listener::stop`] applies the same gate (with
+//!   the final sweep at [`Listener::stop_report`] applies the same gate (with
 //!   faster re-polls, bounded by [`ListenerConfig::stop_grace`]), so a file
 //!   still being written at stop time is never submitted truncated;
 //! * **temporary exclusion** — writers that stage through `foo.tmp` + rename
@@ -71,7 +71,7 @@ pub struct ListenerConfig {
     pub exclude_suffix: Option<String>,
     /// Submit a newly appeared file only after its size is unchanged across
     /// two consecutive polls, so in-progress writes are never picked up.
-    /// [`Listener::stop`]'s final sweep honors the same gate.
+    /// [`Listener::stop_report`]'s final sweep honors the same gate.
     pub require_quiescence: bool,
     /// Backoff policy for transient submit/journal failures.
     pub retry: BackoffPolicy,
@@ -81,7 +81,7 @@ pub struct ListenerConfig {
     /// Fault injector consulted at the `listener.*` sites; `None` falls back
     /// to the globally installed injector (usually none — no faults).
     pub injector: Option<Arc<FaultInjector>>,
-    /// How long [`Listener::stop`]'s final sweep keeps waiting for files
+    /// How long [`Listener::stop_report`]'s final sweep keeps waiting for files
     /// that are still growing before giving up on them.
     pub stop_grace: Duration,
     /// Artifact-cache gate: consulted with each quiescent file *before*
@@ -582,7 +582,7 @@ impl Listener {
                     }
                 }
                 // Interruptible sleep: check the stop flag every few ms so
-                // stop() never blocks for a whole poll interval.
+                // stop_report() never blocks for a whole poll interval.
                 let mut remaining = cfg.poll_interval;
                 let slice = Duration::from_millis(5);
                 while remaining > Duration::ZERO && !stop2.load(Ordering::Acquire) {
@@ -614,19 +614,9 @@ impl Listener {
         self.state.lock().seen_len()
     }
 
-    /// Signal the end of the main application and wait for the final sweep;
-    /// returns every file submitted, in submission order.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use stop_report(): stop() discards the crash flag, cache skips, \
-                and retry/compaction accounting the report carries"
-    )]
-    pub fn stop(self) -> Vec<PathBuf> {
-        self.stop_report().submitted
-    }
-
-    /// Like [`Listener::stop`], but returns the full [`ListenerReport`]
-    /// (crash flag, retry counts) for the chaos harness.
+    /// Signal the end of the main application, wait for the final sweep, and
+    /// return the full [`ListenerReport`]: every file submitted in submission
+    /// order, cache skips, the crash flag and retry/compaction accounting.
     pub fn stop_report(self) -> ListenerReport {
         self.stop.store(true, Ordering::Release);
         self.handle.join().expect("listener thread panicked")
@@ -913,8 +903,8 @@ mod tests {
     #[test]
     fn stop_waits_for_in_flight_writer_to_quiesce() {
         // Satellite fix: the final sweep must honor the quiescence gate. A
-        // file still being written when stop() is called used to be submitted
-        // truncated; now stop re-polls until the size holds steady.
+        // file still being written when stop_report() is called used to be
+        // submitted truncated; now stop re-polls until the size holds steady.
         let dir = tmpdir("stopgate");
         let path = dir.join("tail.hcio");
         let sizes: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
@@ -1181,29 +1171,6 @@ mod tests {
             "recovered file is not resubmitted"
         );
         assert_eq!(count.load(Ordering::SeqCst), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_stop_delegates_to_stop_report() {
-        // The divergent stop() path is gone: it is now a thin (deprecated)
-        // wrapper over stop_report(), so both APIs observe the same run.
-        let dir = tmpdir("stopdelegate");
-        std::fs::write(dir.join("a.hcio"), b"x").unwrap();
-        let listener = Listener::spawn(
-            dir.clone(),
-            ListenerConfig {
-                poll_interval: Duration::from_millis(5),
-                suffix: ".hcio".into(),
-                ..Default::default()
-            },
-            |_| {},
-        );
-        std::thread::sleep(Duration::from_millis(60));
-        let files = listener.stop();
-        assert_eq!(files.len(), 1);
-        assert!(files[0].ends_with("a.hcio"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,6 +4,12 @@
 //! seconds. The `model` module projects the same structure onto the paper's
 //! platforms; this module proves the plumbing works and exhibits the same
 //! qualitative trade-offs.
+//!
+//! Every strategy is a composition of the same private stages: rank
+//! analysis, the large-halo split into Level 2, and the memoized
+//! post-analysis job. The combined variations differ only in how Level 2
+//! travels between the last two: as a file, in memory, as streamed chunks,
+//! or through a co-scheduled listener.
 
 use crate::cost::PhaseSeconds;
 use crate::listener::{CacheGate, Listener, ListenerConfig};
@@ -36,7 +42,9 @@ pub struct RunnerConfig {
     pub sim: SimConfig,
     /// Virtual node (rank) count for the distributed analysis.
     pub nranks: usize,
-    /// Post-processing rank count for the combined workflow.
+    /// Post-processing rank count for the combined workflow. It enters the
+    /// cache fingerprint only: the post job's parallelism comes from the
+    /// backend it runs on (see [`centers_over_ranks`]).
     pub post_ranks: usize,
     /// FOF linking length in mean interparticle spacings.
     pub linking_length: f64,
@@ -102,14 +110,13 @@ impl RunnerConfig {
         let l = self.sim.cosmology.box_size;
         let np = self.sim.np as f64;
         let link = self.linking_length * l / np;
-        let decomp = CartDecomp::new(self.nranks, l);
         FofConfig {
             link_length: link,
             min_size: self.min_size,
             // As wide as feasible: FOF chains can stretch far beyond a
             // virial radius, and the overload shell must cover the largest
             // halo extent (paper §3.3.1).
-            overload_width: (25.0 * link).min(0.45 * decomp.min_block_width()),
+            overload_width: (25.0 * link).min(0.45 * self.decomp().min_block_width()),
         }
     }
 
@@ -162,6 +169,77 @@ impl RunnerConfig {
     fn cache_key(&self, op: &str, input: Digest) -> CacheKey {
         CacheKey::compose(op, input, self.fingerprint())
     }
+
+    fn decomp(&self) -> CartDecomp {
+        CartDecomp::new(self.nranks, self.sim.cosmology.box_size)
+    }
+
+    /// Rank-local particle sets: each particle on its spatial owner.
+    fn distribute(&self, particles: &[Particle]) -> Vec<Vec<Particle>> {
+        let decomp = self.decomp();
+        let mut per_rank: Vec<Vec<Particle>> = vec![Vec::new(); self.nranks];
+        for p in particles {
+            per_rank[decomp.owner_of(p.pos_f64())].push(*p);
+        }
+        per_rank
+    }
+
+    /// The rank-analysis stage: distributed FOF + centers up to `threshold`
+    /// over rank-local particle sets, one [`World`] rank each. Returns the
+    /// per-rank catalogs and timings.
+    fn analyze_ranks(
+        &self,
+        per_rank: &[Vec<Particle>],
+        threshold: usize,
+        backend: &dyn Backend,
+    ) -> (Vec<HaloCatalog>, Vec<RankTiming>) {
+        let decomp = self.decomp();
+        let fof = self.fof();
+        let results = World::new(self.nranks).run(|c| {
+            fof_and_centers_timed(
+                c,
+                &decomp,
+                &per_rank[c.rank()],
+                &fof,
+                backend,
+                self.softening,
+                threshold,
+            )
+        });
+        results.into_iter().unzip()
+    }
+
+    /// Consult `site` under the in-situ retry policy. A stall sleeps, then
+    /// proceeds; a transient fault backs off and polls again, each retry
+    /// counted in `retries`. A crash, or a transient fault on the last
+    /// allowed attempt, returns `false`: the caller degrades.
+    fn consult_with_retry(&self, site: &'static str, retries: &mut u64) -> bool {
+        let mut attempt: u32 = 0;
+        loop {
+            match self.fault(site) {
+                None => return true,
+                Some(FaultKind::Stall(d)) => {
+                    telemetry::instant!("faults", site, 2);
+                    std::thread::sleep(d);
+                    return true;
+                }
+                Some(FaultKind::Crash) => {
+                    telemetry::instant!("faults", site, 1);
+                    return false;
+                }
+                Some(FaultKind::Transient) => {
+                    telemetry::instant!("faults", site, 0);
+                    attempt += 1;
+                    *retries += 1;
+                    telemetry::count!("runner", "insitu_retries", 1);
+                    if attempt >= self.insitu_retry.max_attempts {
+                        return false;
+                    }
+                    std::thread::sleep(self.insitu_retry.delay(attempt - 1));
+                }
+            }
+        }
+    }
 }
 
 /// Serialize a memoized analysis result: the wall seconds the original
@@ -188,7 +266,7 @@ fn memo_lookup(cache: &ArtifactCache, key: CacheKey) -> Option<(f64, Vec<CenterR
 }
 
 /// Result of executing one workflow for real.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkflowRun {
     /// Strategy label.
     pub strategy: String,
@@ -205,7 +283,8 @@ pub struct WorkflowRun {
     /// back to re-shipping the last good Level-2 output (graceful
     /// degradation; zero on a fault-free run).
     pub degraded_steps: usize,
-    /// Transient in-situ analysis failures absorbed by retries.
+    /// Transient faults at [`RUNNER_FAULT_SITE`] and [`RENDER_FAULT_SITE`],
+    /// one retry each, counting the one that exhausts the retry policy.
     pub insitu_retries: u64,
     /// Thread-pool dispatches issued while this strategy ran (zero for
     /// pool-less backends such as `dpp::Serial`).
@@ -235,14 +314,22 @@ pub struct WorkflowRun {
     pub render_cache_hits: u64,
 }
 
-/// Pool-counter delta for a region of work: dispatches issued and wall
-/// seconds spent inside them since `before` was snapshotted.
-fn pool_delta(backend: &dyn Backend, before: dpp::PoolStats) -> (u64, f64) {
-    let d = backend
-        .pool_stats()
-        .unwrap_or_default()
-        .delta_since(&before);
-    (d.dispatches, d.total_dispatch_nanos as f64 * 1e-9)
+/// Close a strategy's run record: its label, the simulation seconds it is
+/// charged, and the pool dispatches issued (and wall seconds spent inside
+/// them) since `pool0` was snapshotted.
+fn finish(
+    mut run: WorkflowRun,
+    strategy: &str,
+    sim: f64,
+    backend: &dyn Backend,
+    pool0: dpp::PoolStats,
+) -> WorkflowRun {
+    let d = backend.pool_stats().unwrap_or_default().delta_since(&pool0);
+    run.strategy = strategy.into();
+    run.phases.sim = sim;
+    run.pool_dispatches = d.dispatches;
+    run.dispatch_overhead_seconds = d.total_dispatch_nanos as f64 * 1e-9;
+    run
 }
 
 /// The shared testbed: one finished simulation reused by every strategy.
@@ -278,78 +365,96 @@ impl TestBed {
         }
     }
 
-    fn decomp(&self) -> CartDecomp {
-        CartDecomp::new(self.cfg.nranks, self.cfg.sim.cosmology.box_size)
-    }
-
     /// Rank-local particle sets (the "already distributed in memory" state).
     pub fn distributed(&self) -> Vec<Vec<Particle>> {
-        let decomp = self.decomp();
-        let mut per_rank: Vec<Vec<Particle>> = vec![Vec::new(); self.cfg.nranks];
-        for p in &self.particles {
-            per_rank[decomp.owner_of(p.pos_f64())].push(*p);
-        }
-        per_rank
+        self.cfg.distribute(&self.particles)
     }
 
-    /// Distributed FOF + centers up to `threshold`; returns per-rank
-    /// catalogs and timings.
-    fn analyze(
+    /// The in-situ stage on the final snapshot: rank analysis of the
+    /// distributed particles, centering halos up to `threshold`. Charges
+    /// the analysis phase and records the rank timings; returns the merged
+    /// in-situ centers and the per-rank catalogs.
+    fn in_situ(
         &self,
-        per_rank: &[Vec<Particle>],
         threshold: usize,
+        run: &mut WorkflowRun,
         backend: &dyn Backend,
-    ) -> (Vec<HaloCatalog>, Vec<RankTiming>) {
-        let decomp = self.decomp();
-        let fof = self.cfg.fof();
-        let world = World::new(self.cfg.nranks);
-        let softening = self.cfg.softening;
-        let results = world.run(|c| {
-            fof_and_centers_timed(
-                c,
-                &decomp,
-                &per_rank[c.rank()],
-                &fof,
-                backend,
-                softening,
-                threshold,
-            )
-        });
-        results.into_iter().unzip()
+    ) -> (Vec<CenterRecord>, Vec<HaloCatalog>) {
+        let per_rank = self.distributed();
+        let t0 = Instant::now();
+        let (catalogs, timings) = self.cfg.analyze_ranks(&per_rank, threshold, backend);
+        run.phases.analysis = t0.elapsed().as_secs_f64();
+        run.rank_timings = timings;
+        (collect_centers(&catalogs), catalogs)
+    }
+
+    /// The large-halo split: every rank's halos above the in-situ threshold,
+    /// merged into one Level 2 container.
+    fn level2(&self, catalogs: Vec<HaloCatalog>, meta: SnapshotMeta) -> Container {
+        let mut large = HaloCatalog::new();
+        for cat in catalogs {
+            large.merge(cat.split_by_size(self.cfg.threshold).1);
+        }
+        write_level2_container(&large, meta)
+    }
+
+    /// The memoized post-analysis stage: the centers of input `input` under
+    /// operation `op`, replayed from the artifact cache when a verified memo
+    /// exists, otherwise computed by `compute` and memoized. `compute`
+    /// charges its own phases and returns the centers with the seconds a
+    /// future hit will credit as saved.
+    fn memoized(
+        &self,
+        op: &str,
+        input: Digest,
+        run: &mut WorkflowRun,
+        compute: impl FnOnce(&mut WorkflowRun) -> (Vec<CenterRecord>, f64),
+    ) -> Vec<CenterRecord> {
+        let key = self.cfg.cache_key(op, input);
+        let cache = self.cfg.cache.as_deref();
+        if let Some((saved, centers)) = cache.and_then(|c| memo_lookup(c, key)) {
+            run.cache_hits += 1;
+            run.saved_analysis_seconds += saved;
+            return centers;
+        }
+        let (centers, seconds) = compute(run);
+        if let Some(c) = cache {
+            run.cache_misses += 1;
+            c.insert(key, &encode_memo(seconds, &centers))
+                .expect("cache insert");
+        }
+        centers
+    }
+
+    /// The post-analysis job of the combined workflow: centers for the
+    /// Level 2 container with content digest `digest`, memoized under
+    /// `l2_centers`. On a miss `load` delivers the container (charging any
+    /// read it does), and the memo credits that read plus the centering.
+    fn l2_centers(
+        &self,
+        digest: Digest,
+        run: &mut WorkflowRun,
+        backend: &dyn Backend,
+        load: impl FnOnce(&mut PhaseSeconds) -> Container,
+    ) -> Vec<CenterRecord> {
+        self.memoized("l2_centers", digest, run, |run| {
+            let container = load(&mut run.phases);
+            let t1 = Instant::now();
+            let centers =
+                centers_over_ranks(&container, self.cfg.post_ranks, self.cfg.softening, backend);
+            let analysis_post = t1.elapsed().as_secs_f64();
+            run.phases.analysis += analysis_post;
+            (centers, run.phases.read + analysis_post)
+        })
     }
 
     /// Strategy 1: everything in situ (no I/O, no redistribution).
     pub fn run_in_situ_only(&self, backend: &dyn Backend) -> WorkflowRun {
         let _span = telemetry::span!("runner", "in_situ_only");
         let pool0 = backend.pool_stats().unwrap_or_default();
-        let per_rank = self.distributed();
-        let t0 = Instant::now();
-        let (catalogs, timings) = self.analyze(&per_rank, usize::MAX, backend);
-        let analysis = t0.elapsed().as_secs_f64();
-        let centers = collect_centers(&catalogs);
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        WorkflowRun {
-            strategy: "in-situ".into(),
-            phases: PhaseSeconds {
-                sim: self.sim_seconds,
-                analysis,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: timings,
-            overlapped_jobs: 0,
-            degraded_steps: 0,
-            insitu_retries: 0,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits: 0,
-            cache_misses: 0,
-            saved_analysis_seconds: 0.0,
-            render_seconds: 0.0,
-            render_bytes: 0,
-            frames_rendered: 0,
-            render_cache_hits: 0,
-        }
+        let mut run = WorkflowRun::default();
+        run.centers = self.in_situ(usize::MAX, &mut run, backend).0;
+        finish(run, "in-situ", self.sim_seconds, backend, pool0)
     }
 
     /// Strategy 2: write Level 1 to disk, read it back, redistribute, then
@@ -362,6 +467,7 @@ impl TestBed {
     pub fn run_offline_only(&self, backend: &dyn Backend) -> WorkflowRun {
         let _span = telemetry::span!("runner", "offline_only");
         let pool0 = backend.pool_stats().unwrap_or_default();
+        let mut run = WorkflowRun::default();
         let path = self.cfg.workdir.join("level1.hcio");
         // Simulation side: write Level 1 (one block per rank), stamped with
         // its content digest — the cache identity of this input.
@@ -371,103 +477,45 @@ impl TestBed {
             blocks: self.distributed(),
         };
         let l1_digest = cosmotools::write_file_digest(&path, &container).expect("write level 1");
-        let write = t_w.elapsed().as_secs_f64();
+        run.phases.write = t_w.elapsed().as_secs_f64();
 
-        // Cache consultation: an existing, verified artifact for exactly
-        // this input and configuration replaces the whole post job.
-        if let Some(c) = &self.cfg.cache {
-            let key = self.cfg.cache_key("offline_analysis", l1_digest);
-            if let Some((saved, centers)) = memo_lookup(c, key) {
-                let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-                return WorkflowRun {
-                    strategy: "off-line".into(),
-                    phases: PhaseSeconds {
-                        sim: self.sim_seconds,
-                        write,
-                        ..Default::default()
-                    },
-                    centers,
-                    rank_timings: Vec::new(),
-                    overlapped_jobs: 0,
-                    degraded_steps: 0,
-                    insitu_retries: 0,
-                    pool_dispatches,
-                    dispatch_overhead_seconds,
-                    cache_hits: 1,
-                    cache_misses: 0,
-                    saved_analysis_seconds: saved,
-                    render_seconds: 0.0,
-                    render_bytes: 0,
-                    frames_rendered: 0,
-                    render_cache_hits: 0,
-                };
-            }
-        }
+        // Post-processing job: read, redistribute, analyze — the whole job is
+        // what a cache hit skips.
+        run.centers = self.memoized("offline_analysis", l1_digest, &mut run, |run| {
+            let t_r = Instant::now();
+            let blocks = cosmotools::read_file(&path)
+                .expect("io")
+                .expect("valid level 1 container")
+                .blocks;
+            run.phases.read = t_r.elapsed().as_secs_f64();
 
-        // Post-processing job: read, redistribute, analyze.
-        let t_r = Instant::now();
-        let read_back = cosmotools::read_file(&path)
-            .expect("io")
-            .expect("valid level 1 container");
-        let read = t_r.elapsed().as_secs_f64();
+            // The file's blocks land on ranks round-robin (as if freshly read
+            // by a different job), then get redistributed to spatial owners.
+            let t_d = Instant::now();
+            let decomp = self.cfg.decomp();
+            let nranks = self.cfg.nranks;
+            let per_rank: Vec<Vec<Particle>> = World::new(nranks).run(|c| {
+                let mine: Vec<Particle> = blocks
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i % nranks == c.rank())
+                    .flat_map(|(_, b)| b.iter().copied())
+                    .collect();
+                redistribute(c, &decomp, mine)
+            });
+            run.phases.redistribute = t_d.elapsed().as_secs_f64();
 
-        // The file's blocks land on ranks round-robin (as if freshly read by
-        // a different job), then get redistributed to spatial owners.
-        let t_d = Instant::now();
-        let decomp = self.decomp();
-        let nranks = self.cfg.nranks;
-        let blocks = read_back.blocks;
-        let world = World::new(nranks);
-        let per_rank: Vec<Vec<Particle>> = world.run(|c| {
-            // Round-robin initial placement.
-            let mine: Vec<Particle> = blocks
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % nranks == c.rank())
-                .flat_map(|(_, b)| b.iter().copied())
-                .collect();
-            redistribute(c, &decomp, mine)
+            let t0 = Instant::now();
+            let (catalogs, timings) = self.cfg.analyze_ranks(&per_rank, usize::MAX, backend);
+            run.phases.analysis = t0.elapsed().as_secs_f64();
+            run.rank_timings = timings;
+            let p = run.phases;
+            (
+                collect_centers(&catalogs),
+                p.read + p.redistribute + p.analysis,
+            )
         });
-        let redistribute_s = t_d.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        let (catalogs, timings) = self.analyze(&per_rank, usize::MAX, backend);
-        let analysis = t0.elapsed().as_secs_f64();
-        let centers = collect_centers(&catalogs);
-        // Memoize what a future hit will skip: the whole post job.
-        let mut cache_misses = 0;
-        if let Some(c) = &self.cfg.cache {
-            cache_misses = 1;
-            let key = self.cfg.cache_key("offline_analysis", l1_digest);
-            let memo = encode_memo(read + redistribute_s + analysis, &centers);
-            c.insert(key, &memo).expect("cache insert");
-        }
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        WorkflowRun {
-            strategy: "off-line".into(),
-            phases: PhaseSeconds {
-                sim: self.sim_seconds,
-                read,
-                redistribute: redistribute_s,
-                analysis,
-                write,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: timings,
-            overlapped_jobs: 0,
-            degraded_steps: 0,
-            insitu_retries: 0,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits: 0,
-            cache_misses,
-            saved_analysis_seconds: 0.0,
-            render_seconds: 0.0,
-            render_bytes: 0,
-            frames_rendered: 0,
-            render_cache_hits: 0,
-        }
+        finish(run, "off-line", self.sim_seconds, backend, pool0)
     }
 
     /// Strategy 3 (simple variation): in-situ find + small centers, Level 2
@@ -475,84 +523,27 @@ impl TestBed {
     pub fn run_combined_simple(&self, backend: &dyn Backend) -> WorkflowRun {
         let _span = telemetry::span!("runner", "combined_simple");
         let pool0 = backend.pool_stats().unwrap_or_default();
-        let per_rank = self.distributed();
-        // In-situ stage.
-        let t0 = Instant::now();
-        let (catalogs, timings) = self.analyze(&per_rank, self.cfg.threshold, backend);
-        let analysis_insitu = t0.elapsed().as_secs_f64();
-        let small_centers = collect_centers(&catalogs);
+        let mut run = WorkflowRun::default();
+        let (small_centers, catalogs) = self.in_situ(self.cfg.threshold, &mut run, backend);
         // Large halos → Level 2 file.
         let t_w = Instant::now();
-        let mut large = HaloCatalog::new();
-        for cat in catalogs {
-            let (_, l) = cat.split_by_size(self.cfg.threshold);
-            large.merge(l);
-        }
-        let l2 = write_level2_container(&large, self.meta.clone());
+        let l2 = self.level2(catalogs, self.meta.clone());
         let path = self.cfg.workdir.join("level2.hcio");
         let l2_digest = cosmotools::write_file_digest(&path, &l2).expect("write level 2");
-        let write = t_w.elapsed().as_secs_f64();
+        run.phases.write = t_w.elapsed().as_secs_f64();
 
         // Off-line stage: read Level 2, center each block in a small job —
         // or reuse the memoized centers for exactly these Level 2 bytes.
-        let mut read = 0.0;
-        let mut analysis_post = 0.0;
-        let mut cache_hits = 0;
-        let mut cache_misses = 0;
-        let mut saved_analysis_seconds = 0.0;
-        let key = self.cfg.cache_key("l2_centers", l2_digest);
-        let cached = self.cfg.cache.as_deref().and_then(|c| memo_lookup(c, key));
-        let large_centers = match cached {
-            Some((saved, centers)) => {
-                cache_hits = 1;
-                saved_analysis_seconds = saved;
-                centers
-            }
-            None => {
-                let t_r = Instant::now();
-                let l2_back = cosmotools::read_file(&path)
-                    .expect("io")
-                    .expect("valid level 2 container");
-                read = t_r.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                let centers =
-                    centers_over_ranks(&l2_back, self.cfg.post_ranks, self.cfg.softening, backend);
-                analysis_post = t1.elapsed().as_secs_f64();
-                if let Some(c) = &self.cfg.cache {
-                    cache_misses = 1;
-                    c.insert(key, &encode_memo(read + analysis_post, &centers))
-                        .expect("cache insert");
-                }
-                centers
-            }
-        };
-
-        let centers = merge_center_sets(small_centers, large_centers);
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        WorkflowRun {
-            strategy: "combined (simple)".into(),
-            phases: PhaseSeconds {
-                sim: self.sim_seconds,
-                read,
-                analysis: analysis_insitu + analysis_post,
-                write,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: timings,
-            overlapped_jobs: 0,
-            degraded_steps: 0,
-            insitu_retries: 0,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits,
-            cache_misses,
-            saved_analysis_seconds,
-            render_seconds: 0.0,
-            render_bytes: 0,
-            frames_rendered: 0,
-            render_cache_hits: 0,
-        }
+        let large_centers = self.l2_centers(l2_digest, &mut run, backend, |phases| {
+            let t_r = Instant::now();
+            let l2_back = cosmotools::read_file(&path)
+                .expect("io")
+                .expect("valid level 2 container");
+            phases.read = t_r.elapsed().as_secs_f64();
+            l2_back
+        });
+        run.centers = merge_center_sets(small_centers, large_centers);
+        finish(run, "combined (simple)", self.sim_seconds, backend, pool0)
     }
 
     /// Strategy 3 (in-transit variation, §4.2's hypothetical third option):
@@ -561,83 +552,28 @@ impl TestBed {
     pub fn run_combined_intransit(&self, backend: &dyn Backend) -> WorkflowRun {
         let _span = telemetry::span!("runner", "combined_intransit");
         let pool0 = backend.pool_stats().unwrap_or_default();
-        let per_rank = self.distributed();
-        let t0 = Instant::now();
-        let (catalogs, timings) = self.analyze(&per_rank, self.cfg.threshold, backend);
-        let analysis_insitu = t0.elapsed().as_secs_f64();
-        let small_centers = collect_centers(&catalogs);
+        let mut run = WorkflowRun::default();
+        let (small_centers, catalogs) = self.in_situ(self.cfg.threshold, &mut run, backend);
 
         // Level 2 stays in memory ("Level 2 in external memory" in Table 4):
         // no write, no read — only the redistribution of halo blocks onto
         // the analysis ranks, here a hand-off of the container itself.
         let t_d = Instant::now();
-        let mut large = HaloCatalog::new();
-        for cat in catalogs {
-            let (_, l) = cat.split_by_size(self.cfg.threshold);
-            large.merge(l);
-        }
-        let container = write_level2_container(&large, self.meta.clone());
-        let redistribute_s = t_d.elapsed().as_secs_f64();
+        let container = self.level2(catalogs, self.meta.clone());
+        run.phases.redistribute = t_d.elapsed().as_secs_f64();
 
         // Same serialized bytes as the simple variation's Level 2 file, so
         // the two variations share memoized center sets.
-        let mut analysis_post = 0.0;
-        let mut cache_hits = 0;
-        let mut cache_misses = 0;
-        let mut saved_analysis_seconds = 0.0;
-        let key = self
-            .cfg
-            .cache_key("l2_centers", cosmotools::container_digest(&container));
-        let cached = self.cfg.cache.as_deref().and_then(|c| memo_lookup(c, key));
-        let large_centers = match cached {
-            Some((saved, centers)) => {
-                cache_hits = 1;
-                saved_analysis_seconds = saved;
-                centers
-            }
-            None => {
-                let t1 = Instant::now();
-                let centers = centers_over_ranks(
-                    &container,
-                    self.cfg.post_ranks,
-                    self.cfg.softening,
-                    backend,
-                );
-                analysis_post = t1.elapsed().as_secs_f64();
-                if let Some(c) = &self.cfg.cache {
-                    cache_misses = 1;
-                    c.insert(key, &encode_memo(analysis_post, &centers))
-                        .expect("cache insert");
-                }
-                centers
-            }
-        };
-
-        let centers = merge_center_sets(small_centers, large_centers);
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        WorkflowRun {
-            strategy: "combined (in-transit)".into(),
-            phases: PhaseSeconds {
-                sim: self.sim_seconds,
-                redistribute: redistribute_s,
-                analysis: analysis_insitu + analysis_post,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: timings,
-            overlapped_jobs: 0,
-            degraded_steps: 0,
-            insitu_retries: 0,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits,
-            cache_misses,
-            saved_analysis_seconds,
-            render_seconds: 0.0,
-            render_bytes: 0,
-            frames_rendered: 0,
-            render_cache_hits: 0,
-        }
+        let digest = cosmotools::container_digest(&container);
+        let large_centers = self.l2_centers(digest, &mut run, backend, |_| container);
+        run.centers = merge_center_sets(small_centers, large_centers);
+        finish(
+            run,
+            "combined (in-transit)",
+            self.sim_seconds,
+            backend,
+            pool0,
+        )
     }
 
     /// Strategy 3 (in-transit, **streamed** variation): like
@@ -657,20 +593,11 @@ impl TestBed {
 
         let _span = telemetry::span!("runner", "combined_intransit_streamed");
         let pool0 = backend.pool_stats().unwrap_or_default();
-        let per_rank = self.distributed();
-        let t0 = Instant::now();
-        let (catalogs, timings) = self.analyze(&per_rank, self.cfg.threshold, backend);
-        let analysis_insitu = t0.elapsed().as_secs_f64();
-        let small_centers = collect_centers(&catalogs);
+        let mut run = WorkflowRun::default();
+        let (small_centers, catalogs) = self.in_situ(self.cfg.threshold, &mut run, backend);
 
         let t_d = Instant::now();
-        let mut large = HaloCatalog::new();
-        for cat in catalogs {
-            let (_, l) = cat.split_by_size(self.cfg.threshold);
-            large.merge(l);
-        }
-        let container = write_level2_container(&large, self.meta.clone());
-
+        let container = self.level2(catalogs, self.meta.clone());
         // Emitter side: publish the chunk set into a replicated store.
         let store_dir = self.cfg.workdir.join("stream_store");
         let _ = std::fs::remove_dir_all(&store_dir);
@@ -684,8 +611,7 @@ impl TestBed {
         )
         .expect("open stream store");
         let fp = self.cfg.fingerprint();
-        let chunks = chunk_container(&container);
-        let keys: Vec<CacheKey> = chunks
+        let keys: Vec<CacheKey> = chunk_container(&container)
             .iter()
             .map(|chunk| {
                 let key = CacheKey::compose("l2chunk", cache::digest_bytes(chunk), fp);
@@ -701,67 +627,15 @@ impl TestBed {
             .map(|&k| store.lookup(k).expect("chunk lost with one dead node"))
             .collect();
         let container = assemble_chunks(&fetched).expect("reassemble streamed Level 2");
-        let redistribute_s = t_d.elapsed().as_secs_f64();
+        run.phases.redistribute = t_d.elapsed().as_secs_f64();
 
         // Identical bytes ⇒ identical digest ⇒ the memoized center set is
         // shared with the simple / in-transit variations.
-        let mut analysis_post = 0.0;
-        let mut cache_hits = 0;
-        let mut cache_misses = 0;
-        let mut saved_analysis_seconds = 0.0;
-        let key = self
-            .cfg
-            .cache_key("l2_centers", cosmotools::container_digest(&container));
-        let cached = self.cfg.cache.as_deref().and_then(|c| memo_lookup(c, key));
-        let large_centers = match cached {
-            Some((saved, centers)) => {
-                cache_hits = 1;
-                saved_analysis_seconds = saved;
-                centers
-            }
-            None => {
-                let t1 = Instant::now();
-                let centers = centers_over_ranks(
-                    &container,
-                    self.cfg.post_ranks,
-                    self.cfg.softening,
-                    backend,
-                );
-                analysis_post = t1.elapsed().as_secs_f64();
-                if let Some(c) = &self.cfg.cache {
-                    cache_misses = 1;
-                    c.insert(key, &encode_memo(analysis_post, &centers))
-                        .expect("cache insert");
-                }
-                centers
-            }
-        };
-
-        let centers = merge_center_sets(small_centers, large_centers);
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        WorkflowRun {
-            strategy: "combined (in-transit, streamed)".into(),
-            phases: PhaseSeconds {
-                sim: self.sim_seconds,
-                redistribute: redistribute_s,
-                analysis: analysis_insitu + analysis_post,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: timings,
-            overlapped_jobs: 0,
-            degraded_steps: 0,
-            insitu_retries: 0,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits,
-            cache_misses,
-            saved_analysis_seconds,
-            render_seconds: 0.0,
-            render_bytes: 0,
-            frames_rendered: 0,
-            render_cache_hits: 0,
-        }
+        let digest = cosmotools::container_digest(&container);
+        let large_centers = self.l2_centers(digest, &mut run, backend, |_| container);
+        run.centers = merge_center_sets(small_centers, large_centers);
+        let label = "combined (in-transit, streamed)";
+        finish(run, label, self.sim_seconds, backend, pool0)
     }
 
     /// Strategy 3 (co-scheduled variation): the simulation re-runs with an
@@ -774,23 +648,20 @@ impl TestBed {
         emit_every: usize,
     ) -> WorkflowRun {
         use parking_lot::Mutex;
-        use std::sync::Arc;
 
         let _span = telemetry::span!("runner", "combined_coscheduled");
         let pool0 = backend.pool_stats().unwrap_or_default();
-        let dir = self.cfg.workdir.join("coscheduled");
+        let mut run = WorkflowRun::default();
+        let cfg = &self.cfg;
+        let dir = cfg.workdir.join("coscheduled");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         // Visualization frames live in a subdirectory with their own suffix,
         // invisible to the `.hcio` listener sweep.
         let render_dir = dir.join("render");
-        if self.cfg.render.is_some() {
+        if cfg.render.is_some() {
             std::fs::create_dir_all(&render_dir).expect("mkdir render");
         }
-        let mut render_seconds = 0.0f64;
-        let mut render_bytes = 0u64;
-        let mut frames_rendered = 0u64;
-        let mut render_cache_hits = 0u64;
 
         // The analysis-job launcher the listener drives: each file becomes a
         // center-finding job on `post_ranks` ranks.
@@ -800,16 +671,16 @@ impl TestBed {
             Arc::new(Mutex::new(Vec::new()));
         let r2 = Arc::clone(&results);
         let h2 = Arc::clone(&handles);
-        let post_ranks = self.cfg.post_ranks;
-        let softening = self.cfg.softening;
-        let fingerprint = self.cfg.fingerprint();
+        let post_ranks = cfg.post_ranks;
+        let softening = cfg.softening;
+        let fingerprint = cfg.fingerprint();
         // The listener consults the cache before submitting: a file whose
         // analysis artifact already exists and verifies is recorded as
         // handled without spawning a job (crash-restart and duplicate scans
         // never re-submit completed work). Each job that does run memoizes
         // its result, so the *next* co-scheduled run over identical Level 2
         // bytes skips it.
-        let gate = self.cfg.cache.clone().map(|c| {
+        let gate = cfg.cache.clone().map(|c| {
             CacheGate::new(move |p: &std::path::Path| {
                 let Ok(digest) = cosmotools::file_digest(p) else {
                     return false;
@@ -817,7 +688,7 @@ impl TestBed {
                 c.contains_verified(CacheKey::compose("l2_centers", digest, fingerprint))
             })
         });
-        let job_cache = self.cfg.cache.clone();
+        let job_cache = cfg.cache.clone();
         let sim_start = Instant::now();
         let listener = Listener::spawn(
             dir.clone(),
@@ -852,20 +723,10 @@ impl TestBed {
         );
 
         // Re-run the simulation with the in-situ hook.
-        let t0 = Instant::now();
-        let mut sim = Simulation::new(backend, self.cfg.sim.clone());
-        let threshold = self.cfg.threshold;
-        let fof_link = self.cfg.fof();
-        let decomp = self.decomp();
-        let nranks = self.cfg.nranks;
-        let mut insitu_analysis = 0.0;
-        let mut fallback_seconds = 0.0;
-        let mut degraded = 0usize;
-        let mut insitu_retries = 0u64;
+        let mut sim = Simulation::new(backend, cfg.sim.clone());
         let mut last_good: Option<PathBuf> = None;
         let mut small_centers: Vec<CenterRecord> = Vec::new();
         let mut emitted = 0usize;
-        let rcfg = &self.cfg;
         sim.run_with_hook(backend, |step, sim| {
             let last = step == sim.total_steps();
             // In-situ visualization: one frame per step, independent of the
@@ -873,7 +734,7 @@ impl TestBed {
             // without touching the renderer, so warm re-runs recompute
             // nothing; rendering precedes the halo stage so an analysis
             // fault can never drop a frame.
-            if let Some(rp) = rcfg.render {
+            if let Some(rp) = cfg.render {
                 let _render_span = telemetry::span!("render", "emit", step);
                 let t_r = Instant::now();
                 let frame_path = render_dir.join(format!("frame_step{step:04}.hcim"));
@@ -882,105 +743,57 @@ impl TestBed {
                     cache::digest_bytes(&(step as u64).to_le_bytes()),
                     fingerprint,
                 );
-                let cached = rcfg.cache.as_deref().and_then(|c| c.lookup(key));
+                let cached = cfg.cache.as_deref().and_then(|c| c.lookup(key));
                 if let Some(bytes) = cached {
                     std::fs::write(&frame_path, &bytes).expect("write cached frame");
-                    render_cache_hits += 1;
-                    frames_rendered += 1;
-                    render_bytes += bytes.len() as u64;
+                    run.render_cache_hits += 1;
+                    run.frames_rendered += 1;
+                    run.render_bytes += bytes.len() as u64;
                     telemetry::count!("render", "cache_hits", 1);
-                } else {
-                    let mut attempt: u32 = 0;
-                    let render_ok = loop {
-                        match rcfg.fault(RENDER_FAULT_SITE) {
-                            Some(FaultKind::Crash) => {
-                                telemetry::instant!("faults", RENDER_FAULT_SITE, 1);
-                                break false;
-                            }
-                            Some(FaultKind::Stall(d)) => {
-                                telemetry::instant!("faults", RENDER_FAULT_SITE, 2);
-                                std::thread::sleep(d);
-                            }
-                            Some(FaultKind::Transient) => {
-                                telemetry::instant!("faults", RENDER_FAULT_SITE, 0);
-                                attempt += 1;
-                                insitu_retries += 1;
-                                telemetry::count!("runner", "insitu_retries", 1);
-                                if attempt >= rcfg.insitu_retry.max_attempts {
-                                    break false;
-                                }
-                                std::thread::sleep(rcfg.insitu_retry.delay(attempt - 1));
-                                continue;
-                            }
-                            None => {}
-                        }
-                        break true;
-                    };
-                    if render_ok {
-                        let frame = cosmotools::render_frame(
-                            backend,
-                            sim.particles(),
-                            decomp.box_size(),
-                            &rp,
-                            step as u64,
-                        );
-                        let bytes = cosmotools::write_image(&frame);
-                        std::fs::write(&frame_path, bytes.as_ref()).expect("write frame");
-                        if let Some(c) = &rcfg.cache {
-                            c.insert(key, bytes.as_ref()).expect("cache insert");
-                        }
-                        frames_rendered += 1;
-                        render_bytes += bytes.len() as u64;
-                    } else {
-                        // This attempt loses the step's frame; a re-run
-                        // recovers it (every earlier frame replays from the
-                        // cache, and the injector's crash budget is spent).
-                        degraded += 1;
-                        telemetry::count!("runner", "render_failures", 1);
+                } else if cfg.consult_with_retry(RENDER_FAULT_SITE, &mut run.insitu_retries) {
+                    let frame = cosmotools::render_frame(
+                        backend,
+                        sim.particles(),
+                        cfg.sim.cosmology.box_size,
+                        &rp,
+                        step as u64,
+                    );
+                    let bytes = cosmotools::write_image(&frame);
+                    std::fs::write(&frame_path, bytes.as_ref()).expect("write frame");
+                    if let Some(c) = &cfg.cache {
+                        c.insert(key, bytes.as_ref()).expect("cache insert");
                     }
+                    run.frames_rendered += 1;
+                    run.render_bytes += bytes.len() as u64;
+                } else {
+                    // This attempt loses the step's frame; a re-run recovers
+                    // it (every earlier frame replays from the cache, and the
+                    // injector's crash budget is spent).
+                    run.degraded_steps += 1;
+                    telemetry::count!("runner", "render_failures", 1);
                 }
-                render_seconds += t_r.elapsed().as_secs_f64();
+                run.render_seconds += t_r.elapsed().as_secs_f64();
             }
             if !(step % emit_every == 0 || last) {
                 return;
             }
             let _step_span = telemetry::span!("runner", "in_situ_step", step);
+            let path = dir.join(format!("l2_step{step:04}.hcio"));
+            let meta = SnapshotMeta {
+                step: step as u64,
+                redshift: sim.redshift(),
+                box_size: cfg.sim.cosmology.box_size,
+            };
+            emitted += 1;
             // Fault-aware in-situ stage: a transient failure retries under
             // the configured policy; a crash (or exhausted retries) degrades
             // gracefully — the last good Level-2 output is re-shipped for
             // off-line analysis instead, and the step is recorded as
             // degraded in the cost model's `fallback` phase.
-            let mut attempt: u32 = 0;
-            let insitu_ok = loop {
-                match rcfg.fault(RUNNER_FAULT_SITE) {
-                    Some(FaultKind::Crash) => {
-                        telemetry::instant!("faults", RUNNER_FAULT_SITE, 1);
-                        break false;
-                    }
-                    Some(FaultKind::Stall(d)) => {
-                        telemetry::instant!("faults", RUNNER_FAULT_SITE, 2);
-                        std::thread::sleep(d);
-                    }
-                    Some(FaultKind::Transient) => {
-                        telemetry::instant!("faults", RUNNER_FAULT_SITE, 0);
-                        attempt += 1;
-                        insitu_retries += 1;
-                        telemetry::count!("runner", "insitu_retries", 1);
-                        if attempt >= rcfg.insitu_retry.max_attempts {
-                            break false;
-                        }
-                        std::thread::sleep(rcfg.insitu_retry.delay(attempt - 1));
-                        continue;
-                    }
-                    None => {}
-                }
-                break true;
-            };
-            if !insitu_ok {
+            if !cfg.consult_with_retry(RUNNER_FAULT_SITE, &mut run.insitu_retries) {
                 let tf = Instant::now();
-                degraded += 1;
+                run.degraded_steps += 1;
                 telemetry::count!("runner", "degraded_steps", 1);
-                let path = dir.join(format!("l2_step{step:04}.hcio"));
                 match &last_good {
                     Some(prev) => {
                         std::fs::copy(prev, &path).expect("fallback copy");
@@ -988,63 +801,27 @@ impl TestBed {
                     None => {
                         // Nothing good yet: an empty Level-2 container keeps
                         // the downstream pipeline shape intact.
-                        let meta = SnapshotMeta {
-                            step: step as u64,
-                            redshift: sim.redshift(),
-                            box_size: decomp.box_size(),
-                        };
                         let container = write_level2_container(&HaloCatalog::new(), meta);
                         cosmotools::write_file(&path, &container).expect("write fallback level 2");
                     }
                 }
-                emitted += 1;
-                fallback_seconds += tf.elapsed().as_secs_f64();
+                run.phases.fallback += tf.elapsed().as_secs_f64();
                 return;
             }
             let ta = Instant::now();
-            // Distribute and analyze in situ.
-            let mut per_rank: Vec<Vec<Particle>> = vec![Vec::new(); nranks];
-            for p in sim.particles() {
-                per_rank[decomp.owner_of(p.pos_f64())].push(*p);
+            let per_rank = cfg.distribute(sim.particles());
+            let (catalogs, _) = cfg.analyze_ranks(&per_rank, cfg.threshold, backend);
+            if last {
+                small_centers = collect_centers(&catalogs);
             }
-            let world = World::new(nranks);
-            let results = world.run(|c| {
-                fof_and_centers_timed(
-                    c,
-                    &decomp,
-                    &per_rank[c.rank()],
-                    &fof_link,
-                    backend,
-                    softening,
-                    threshold,
-                )
-            });
-            let mut large = HaloCatalog::new();
-            for (cat, _) in results {
-                if last {
-                    small_centers.extend(centers_from_catalog(&cat));
-                }
-                let (_, l) = cat.split_by_size(threshold);
-                large.merge(l);
-            }
-            insitu_analysis += ta.elapsed().as_secs_f64();
+            let container = self.level2(catalogs, meta);
+            run.phases.analysis += ta.elapsed().as_secs_f64();
             // Emit the Level 2 file at every analysis step (possibly empty —
             // the listener and downstream jobs handle that), exactly like
             // the per-timestep outputs of the paper's co-scheduled runs.
-            {
-                let meta = SnapshotMeta {
-                    step: step as u64,
-                    redshift: sim.redshift(),
-                    box_size: decomp.box_size(),
-                };
-                let container = write_level2_container(&large, meta);
-                let path = dir.join(format!("l2_step{step:04}.hcio"));
-                cosmotools::write_file(&path, &container).expect("write level 2");
-                last_good = Some(path);
-                emitted += 1;
-            }
+            cosmotools::write_file(&path, &container).expect("write level 2");
+            last_good = Some(path);
         });
-        let _ = t0;
         // Simulation end in the same epoch as the job start times.
         let sim_end = sim_start.elapsed().as_secs_f64();
 
@@ -1062,23 +839,24 @@ impl TestBed {
 
         // Credit the cache hits: what each reused artifact cost when it was
         // first computed, read back from the memo payloads.
-        let mut saved_analysis_seconds = 0.0;
         let mut skipped_last_centers: Option<Vec<CenterRecord>> = None;
-        let last_file = dir.join(format!("l2_step{:04}.hcio", self.cfg.sim.nsteps));
-        if let Some(c) = &self.cfg.cache {
+        let last_file = dir.join(format!("l2_step{:04}.hcio", cfg.sim.nsteps));
+        if let Some(c) = &cfg.cache {
             for p in &report.cache_skipped {
                 let Ok(digest) = cosmotools::file_digest(p) else {
                     continue;
                 };
-                let key = CacheKey::compose("l2_centers", digest, fingerprint);
-                if let Some((saved, centers)) = memo_lookup(c, key) {
-                    saved_analysis_seconds += saved;
+                if let Some((saved, centers)) = memo_lookup(c, cfg.cache_key("l2_centers", digest))
+                {
+                    run.saved_analysis_seconds += saved;
                     if *p == last_file {
                         skipped_last_centers = Some(centers);
                     }
                 }
             }
+            run.cache_misses = report.submitted.len() as u64;
         }
+        run.cache_hits = report.cache_skipped.len() as u64;
 
         // Reconcile: the final step's large-halo centers + in-situ centers.
         // A gate-skipped final file takes its centers from the cache; if the
@@ -1091,50 +869,16 @@ impl TestBed {
                     let container = cosmotools::read_file(&last_file)
                         .expect("io")
                         .expect("valid container");
-                    centers_over_ranks(
-                        &container,
-                        self.cfg.post_ranks,
-                        self.cfg.softening,
-                        &dpp::Serial,
-                    )
+                    centers_over_ranks(&container, post_ranks, softening, &dpp::Serial)
                 }),
             None => Vec::new(),
         };
-        let overlapped = job_results
+        run.overlapped_jobs = job_results
             .iter()
             .filter(|(_, _, started_at)| *started_at < sim_end)
             .count();
-        let centers = merge_center_sets(small_centers, large_centers);
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        let cache_hits = report.cache_skipped.len() as u64;
-        let cache_misses = if self.cfg.cache.is_some() {
-            report.submitted.len() as u64
-        } else {
-            0
-        };
-        WorkflowRun {
-            strategy: "combined (co-scheduled)".into(),
-            phases: PhaseSeconds {
-                sim: sim_end,
-                analysis: insitu_analysis,
-                fallback: fallback_seconds,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: Vec::new(),
-            overlapped_jobs: overlapped,
-            degraded_steps: degraded,
-            insitu_retries,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits,
-            cache_misses,
-            saved_analysis_seconds,
-            render_seconds,
-            render_bytes,
-            frames_rendered,
-            render_cache_hits,
-        }
+        run.centers = merge_center_sets(small_centers, large_centers);
+        finish(run, "combined (co-scheduled)", sim_end, backend, pool0)
     }
 }
 
@@ -1168,63 +912,30 @@ pub fn measured_table2(
     backend: &dyn Backend,
     at_steps: &[usize],
 ) -> Vec<MeasuredEpoch> {
-    let decomp = CartDecomp::new(cfg.nranks, cfg.sim.cosmology.box_size);
-    let fof = cfg.fof();
     let mut rows = Vec::new();
     let mut sim = Simulation::new(backend, cfg.sim.clone());
-    let nranks = cfg.nranks;
-    let softening = cfg.softening;
     sim.run_with_hook(backend, |step, sim| {
         if !at_steps.contains(&step) {
             return;
         }
-        let mut per_rank: Vec<Vec<Particle>> = vec![Vec::new(); nranks];
-        for p in sim.particles() {
-            per_rank[decomp.owner_of(p.pos_f64())].push(*p);
-        }
-        let world = World::new(nranks);
-        let results = world.run(|c| {
-            fof_and_centers_timed(
-                c,
-                &decomp,
-                &per_rank[c.rank()],
-                &fof,
-                &dpp::Serial, // ranks are the parallelism; per-rank serial
-                softening,
-                usize::MAX,
-            )
-        });
-        let find_max = results
-            .iter()
-            .map(|(_, t)| t.find_seconds)
-            .fold(0.0f64, f64::max);
-        let find_min = results
-            .iter()
-            .map(|(_, t)| t.find_seconds)
-            .fold(f64::INFINITY, f64::min);
-        let center_max = results
-            .iter()
-            .map(|(_, t)| t.center_seconds)
-            .fold(0.0f64, f64::max);
-        let center_min = results
-            .iter()
-            .map(|(_, t)| t.center_seconds)
-            .fold(f64::INFINITY, f64::min);
-        let n_halos: usize = results.iter().map(|(c, _)| c.len()).sum();
-        let largest = results
-            .iter()
-            .flat_map(|(c, _)| c.halos.iter().map(|h| h.count()))
-            .max()
-            .unwrap_or(0);
+        // Ranks are the parallelism; each rank analyzes serially.
+        let per_rank = cfg.distribute(sim.particles());
+        let (catalogs, timings) = cfg.analyze_ranks(&per_rank, usize::MAX, &dpp::Serial);
+        let find = timings.iter().map(|t| t.find_seconds);
+        let center = timings.iter().map(|t| t.center_seconds);
         rows.push(MeasuredEpoch {
             step,
             redshift: sim.redshift(),
-            find_max,
-            find_min,
-            center_max,
-            center_min,
-            n_halos,
-            largest,
+            find_max: find.clone().fold(0.0f64, f64::max),
+            find_min: find.fold(f64::INFINITY, f64::min),
+            center_max: center.clone().fold(0.0f64, f64::max),
+            center_min: center.fold(f64::INFINITY, f64::min),
+            n_halos: catalogs.iter().map(|c| c.len()).sum(),
+            largest: catalogs
+                .iter()
+                .flat_map(|c| c.halos.iter().map(|h| h.count()))
+                .max()
+                .unwrap_or(0),
         });
     });
     rows
@@ -1240,15 +951,17 @@ fn collect_centers(catalogs: &[HaloCatalog]) -> Vec<CenterRecord> {
     out
 }
 
-/// Center every block of a Level 2 container, blocks spread over
-/// `post_ranks` worker threads (the small off-line/co-scheduled job).
+/// Center every block of a Level 2 container (the small off-line or
+/// co-scheduled job), sorted by halo id. The job's parallelism is the
+/// `backend` the MBP searches run on; `post_ranks` does not split the work
+/// and enters only the cache fingerprint (see [`RunnerConfig::post_ranks`]).
 pub fn centers_over_ranks(
     container: &Container,
     post_ranks: usize,
     softening: f64,
     backend: &dyn Backend,
 ) -> Vec<CenterRecord> {
-    let _ = post_ranks; // parallelism handled inside mbp_brute via backend
+    let _ = post_ranks;
     let mut centers = centers_from_level2(backend, container, softening);
     centers.sort_by_key(|r| r.halo_id);
     centers
@@ -1527,22 +1240,79 @@ mod tests {
         assert_same_centers(&cold.centers, &warm.centers);
     }
 
+    /// Transient faults at both retried sites, either absorbed by the retry
+    /// policy or exhausting it. Each row schedules transient faults at exact
+    /// hit indices of one site; with `emit_every = 4` the in-situ site is
+    /// polled at steps 4, 8, 12, … and the render site once per step.
     #[test]
-    fn transient_insitu_faults_are_absorbed_by_retries() {
+    fn transient_fault_retries_absorb_or_exhaust() {
         let backend = Threaded::new(4);
-        let mut cfg = tiny_cfg("insitu_transient");
-        // Every analysis step fails once, then the retry succeeds.
-        cfg.injector = Some(
-            faults::FaultPlan::new(11)
-                .with_site(faults::SiteSpec::transient(RUNNER_FAULT_SITE, 1.0).with_max_faults(2))
-                .build(),
-        );
-        let bed = TestBed::create(cfg, &backend);
-        let baseline = bed.run_combined_simple(&backend);
-        let run = bed.run_combined_coscheduled(&backend, 4);
-        assert_eq!(run.insitu_retries, 2, "each injected fault costs one retry");
-        assert_eq!(run.degraded_steps, 0, "retries absorbed every fault");
-        assert_same_centers(&baseline.centers, &run.centers);
+        let max = RunnerConfig::default().insitu_retry.max_attempts as u64;
+        let hits = |r: std::ops::Range<u64>| r.collect::<Vec<u64>>();
+        // (site, faulted hits, failing steps, render frames lost)
+        let rows: [(&str, Vec<u64>, usize, bool); 4] = [
+            // Absorbed: the first step fails twice, the third poll passes.
+            (RUNNER_FAULT_SITE, hits(0..2), 0, false),
+            (RENDER_FAULT_SITE, hits(0..2), 0, true),
+            // Exhausted: step 4 fails with nothing shipped yet (an empty
+            // container goes out), step 8 succeeds, step 12 fails and
+            // re-ships step 8's file.
+            (
+                RUNNER_FAULT_SITE,
+                [hits(0..max), hits(max + 1..2 * max + 1)].concat(),
+                2,
+                false,
+            ),
+            // Exhausted: step 1's frame is lost.
+            (RENDER_FAULT_SITE, hits(0..max), 1, true),
+        ];
+        for (i, (site, at_hits, failing, render)) in rows.into_iter().enumerate() {
+            let mut cfg = tiny_cfg(&format!("retry_table{i}"));
+            if render {
+                cfg.render = Some(cosmotools::RenderParams {
+                    ng: 12,
+                    ..Default::default()
+                });
+            }
+            let nfaults = at_hits.len() as u64;
+            cfg.injector = Some(
+                faults::FaultPlan::new(11)
+                    .with_site(faults::SiteSpec {
+                        at_hits,
+                        ..faults::SiteSpec::transient(site, 0.0)
+                    })
+                    .build(),
+            );
+            let bed = TestBed::create(cfg, &backend);
+            let baseline = bed.run_combined_simple(&backend);
+            let run = bed.run_combined_coscheduled(&backend, 4);
+            let row = format!("row {i} ({site}, {failing} failing)");
+            assert_eq!(run.degraded_steps, failing, "{row}");
+            assert_eq!(run.insitu_retries, nfaults, "{row}: one retry per fault");
+            if failing > 0 {
+                assert_eq!(run.insitu_retries, failing as u64 * max, "{row}");
+            }
+            let dir = bed.cfg.workdir.join("coscheduled");
+            if site == RUNNER_FAULT_SITE && failing > 0 {
+                let l2 = |step: usize| std::fs::read(dir.join(format!("l2_step{step:04}.hcio")));
+                let empty = cosmotools::read_file(&dir.join("l2_step0004.hcio"))
+                    .expect("io")
+                    .expect("valid container");
+                assert!(empty.blocks.is_empty(), "{row}: empty container shipped");
+                assert_eq!(
+                    l2(12).unwrap(),
+                    l2(8).unwrap(),
+                    "{row}: last good re-shipped"
+                );
+            }
+            if render {
+                let total = bed.cfg.sim.nsteps as u64;
+                assert_eq!(run.frames_rendered, total - failing as u64, "{row}");
+                let first = dir.join("render").join("frame_step0001.hcim");
+                assert_eq!(first.exists(), failing == 0, "{row}: frame lost");
+            }
+            assert_same_centers(&baseline.centers, &run.centers);
+        }
     }
 
     /// Read every frame file in a co-scheduled run's render directory as

@@ -53,18 +53,17 @@ use crate::listener::{
     journal_append, submit_one, sweep_dir, CacheGate, ListenerConfig, ListenerReport, ScanState,
     SubmitError,
 };
+use crate::runner::centers_over_ranks;
 use crate::stream::{ChunkRef, StreamHub};
 use cache::{
     CacheKey, Digest, DistributedConfig, DistributedStore, Fingerprint, FingerprintBuilder,
     RemoteFetchModel,
 };
 use cosmotools::{
-    assemble_chunks, chunk_container, encode_centers, write_container, CenterRecord, Container,
-    SnapshotMeta,
+    assemble_chunks, chunk_container, encode_centers, write_container, Container, SnapshotMeta,
 };
 use dpp::{Backend, PoolStats, Threaded};
 use faults::{FaultInjector, FaultKind};
-use halo::mbp_brute;
 use nbody::Particle;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -924,7 +923,7 @@ fn analyze_bytes(
     let digest = cache::digest_bytes(bytes);
     let container = cosmotools::read_container(bytes)
         .map_err(|e| SubmitError(format!("parse {exec_name}: {e:?}")))?;
-    let payload = encode_centers(&container_centers(&container, &c.backend));
+    let payload = encode_centers(&centers_over_ranks(&container, 1, SOFTENING, &c.backend));
     inner
         .store
         .insert(c.spec.product_key(digest), &payload)
@@ -976,7 +975,7 @@ fn assemble(inner: &Inner, c: &CampaignState) -> (Vec<u8>, u64) {
             Some(p) => p,
             None => {
                 misses += 1;
-                let p = encode_centers(&container_centers(&container, &c.backend));
+                let p = encode_centers(&centers_over_ranks(&container, 1, SOFTENING, &c.backend));
                 let _ = inner.store.insert(key, &p);
                 p
             }
@@ -1249,40 +1248,18 @@ fn step_container(seed: u64, step: usize) -> Container {
     }
 }
 
-/// Per-block MBP centers of a container, sorted by halo id. `dpp`'s argmin
-/// breaks ties by lowest index under a total order, so the result is
-/// byte-identical on every backend — a campaign analyzing through its
-/// scoped threaded handle produces exactly the solo serial catalog.
-fn container_centers(c: &Container, backend: &dyn Backend) -> Vec<CenterRecord> {
-    let mut centers: Vec<CenterRecord> = c
-        .blocks
-        .iter()
-        .filter(|b| !b.is_empty())
-        .map(|b| {
-            let r = mbp_brute(backend, b, SOFTENING);
-            CenterRecord {
-                halo_id: b.iter().map(|p| p.tag).min().unwrap_or(0),
-                center: b[r.index].pos_f64(),
-                count: b.len() as u64,
-                potential: r.potential,
-            }
-        })
-        .collect();
-    centers.sort_by_key(|r| r.halo_id);
-    centers
-}
-
 /// The catalog a fault-free *solo* run of this spec produces: per step, the
 /// serial analysis of the deterministic drop, length-framed exactly like
 /// the service's assembly. Byte equality against this is the service's
-/// isolation oracle.
+/// isolation oracle. The centers come from the runner's post-analysis job
+/// ([`centers_over_ranks`]); `dpp`'s argmin breaks ties by lowest index
+/// under a total order, so a campaign analyzing through its scoped threaded
+/// backend produces exactly this serial catalog.
 pub fn reference_catalog(spec: &CampaignSpec) -> Vec<u8> {
     let mut catalog = Vec::new();
     for step in 0..spec.steps {
-        let payload = encode_centers(&container_centers(
-            &step_container(spec.seed, step),
-            &dpp::Serial,
-        ));
+        let container = step_container(spec.seed, step);
+        let payload = encode_centers(&centers_over_ranks(&container, 1, SOFTENING, &dpp::Serial));
         catalog.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         catalog.extend_from_slice(&payload);
     }
@@ -1336,10 +1313,8 @@ mod tests {
         let threaded = Threaded::new(4);
         let mut catalog = Vec::new();
         for step in 0..spec.steps {
-            let payload = encode_centers(&container_centers(
-                &step_container(spec.seed, step),
-                &threaded,
-            ));
+            let container = step_container(spec.seed, step);
+            let payload = encode_centers(&centers_over_ranks(&container, 1, SOFTENING, &threaded));
             catalog.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             catalog.extend_from_slice(&payload);
         }

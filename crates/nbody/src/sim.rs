@@ -119,11 +119,6 @@ impl Simulation {
         &self.particles
     }
 
-    /// Mutable particle view (used by tests and failure injection).
-    pub fn particles_mut(&mut self) -> &mut [Particle] {
-        &mut self.particles
-    }
-
     /// The scale-factor increment per step.
     pub fn da(&self) -> f64 {
         let a0 = Cosmology::a_of_z(self.cfg.z_init);

@@ -11,15 +11,16 @@ impl LoadRegime {
     /// The downscaled real-execution configuration this regime names.
     ///
     /// `Medium` is the historical `workflow_compare` setup (32³ particles,
-    /// 30 steps, 8 analysis ranks); `Light` halves the work for smoke runs
-    /// and `Heavy` pushes the particle count and rank fan-out up. The
-    /// workdir is left at the [`RunnerConfig::default`] scratch location —
+    /// 30 steps, 8 analysis ranks); `Light` shrinks it to 16³ particles on 4
+    /// ranks for smoke runs and `Heavy` pushes it to 64³ on 16 ranks.
+    /// Particle and grid counts stay powers of two, as [`nbody::Simulation`]
+    /// requires. The workdir is left at the [`RunnerConfig::default`] scratch location —
     /// override it per example.
     pub fn runner_config(self, seed: u64) -> RunnerConfig {
         let (np, nsteps, nranks, post_ranks, threshold) = match self {
-            LoadRegime::Light => (24, 20, 4, 2, 150),
+            LoadRegime::Light => (16, 20, 4, 2, 150),
             LoadRegime::Medium => (32, 30, 8, 2, 200),
-            LoadRegime::Heavy => (48, 40, 16, 4, 300),
+            LoadRegime::Heavy => (64, 40, 16, 4, 300),
         };
         RunnerConfig {
             sim: SimConfig {
@@ -61,9 +62,12 @@ mod tests {
         let heavy = LoadRegime::Heavy.runner_config(1);
         assert!(light.sim.np < heavy.sim.np);
         assert!(light.nranks < heavy.nranks);
-        // Rank counts must divide cleanly into the particle grid's slabs.
+        // Rank counts must divide cleanly into the particle grid's slabs, and
+        // `Simulation::new` only accepts power-of-two particle and grid counts.
         for cfg in [&light, &heavy] {
             assert_eq!(cfg.sim.np % cfg.nranks, 0);
+            assert!(cfg.sim.np.is_power_of_two(), "np = {}", cfg.sim.np);
+            assert!(cfg.sim.ng.is_power_of_two(), "ng = {}", cfg.sim.ng);
         }
     }
 }

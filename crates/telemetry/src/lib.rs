@@ -310,11 +310,6 @@ pub fn install(recorder: Arc<Recorder>) -> RecorderGuard {
     RecorderGuard { recorder }
 }
 
-/// True while a recorder is installed.
-pub fn is_armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
 /// Whether this build compiled the recording macros in. When `false`, the
 /// `span!`/`count!`/`observe!`/`instant!` call sites are no-ops and an
 /// installed recorder sees only explicitly recorded events — callers use

@@ -15,6 +15,19 @@ test:
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
+# Rust line counts per crate (plus the root package, examples and tests),
+# excluding build output and the vendored offline stubs.
+loc:
+    #!/usr/bin/env sh
+    total=0
+    for d in crates/* src examples tests e2ebench; do
+        case "$d" in crates/bytes|crates/parking_lot|crates/proptest|crates/rand|crates/criterion) continue ;; esac
+        n=$(find "$d" -name '*.rs' -not -path '*/target/*' -exec cat {} + | wc -l)
+        printf '%7d  %s\n' "$n" "$d"
+        total=$((total + n))
+    done
+    printf '%7d  total\n' "$total"
+
 # Dispatch-layer microbenchmarks (persistent pool vs spawn-per-dispatch).
 bench-dispatch:
     cargo bench -p bench --bench dispatch_overhead
