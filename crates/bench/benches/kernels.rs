@@ -53,16 +53,16 @@ fn bench_cic_and_power(c: &mut Criterion) {
 
 fn bench_kdtree(c: &mut Criterion) {
     let parts = blob([0.0; 3], 20_000, 50.0, 0);
-    let positions: Vec<[f64; 3]> = parts.iter().map(|p| p.pos_f64()).collect();
+    let coords = Coords::from_particles(&parts);
     c.bench_function("kdtree_build_20k", |b| {
-        b.iter(|| halo::KdTree::build(&positions, None))
+        b.iter(|| halo::KdTree::build(&coords, None))
     });
-    let tree = halo::KdTree::build(&positions, None);
+    let tree = halo::KdTree::build(&coords, None);
     c.bench_function("kdtree_knn_20k", |b| {
         b.iter(|| {
             let mut acc = 0usize;
-            for i in (0..positions.len()).step_by(100) {
-                acc += tree.k_nearest(&positions, positions[i], 24).len();
+            for i in (0..coords.len()).step_by(100) {
+                acc += tree.k_nearest(&coords, coords.get(i), 24).len();
             }
             acc
         })
@@ -164,7 +164,8 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         });
     }
 
-    // FOF over a clustered cloud: row k-d tree engine vs packed leaf lanes.
+    // FOF over a clustered cloud: the row traversal kept as the conformance
+    // reference vs the production packed-leaf-lane engine.
     {
         let n = if quick { 20_000 } else { 60_000 };
         let mut positions: Vec<[f64; 3]> = Vec::with_capacity(n);
@@ -180,8 +181,10 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         }
         let cols = Coords::from_rows(&positions);
         let link = 0.4;
-        let before = time_ms(reps, || halo::fof_kdtree(&positions, link));
-        let after = time_ms(reps, || halo::fof_kdtree_cols(&cols, link));
+        let before = time_ms(reps, || {
+            conformance::reference::fof_kdtree_rows(&positions, link)
+        });
+        let after = time_ms(reps, || halo::fof_kdtree(&cols, link));
         rows.push(KernelRow {
             kernel: "fof",
             n: positions.len(),

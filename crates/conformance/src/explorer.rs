@@ -134,7 +134,7 @@ pub struct ScheduleOutcome {
     /// the drop directory before the next incarnation cleaned up.
     pub saw_tmp_orphan: bool,
     /// A `.tmp` path showed up in `submitted`/`cache_skipped` (must never
-    /// happen — the listener's `exclude_suffix` exists for this).
+    /// happen — the listener never matches `.tmp` names).
     pub submitted_tmp: bool,
 }
 

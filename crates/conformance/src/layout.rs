@@ -3,17 +3,18 @@
 //! scalar) reference, on every backend, over the adversarial corpus from
 //! [`crate::inputs`].
 //!
-//! The references are deliberately independent implementations — the old
-//! code paths are kept, not re-expressed in terms of the new ones — so a
-//! disagreement here means the rewrite changed semantics, not that both
-//! sides drifted together:
+//! The references are deliberately independent implementations — kept in
+//! `dpp`/`nbody`/`halo` as documented oracles or in [`crate::reference`],
+//! not re-expressed in terms of the new code — so a disagreement here means
+//! the rewrite changed semantics, not that both sides drifted together:
 //!
 //! * `cic-soa` — [`nbody::pm::cic_deposit_soa`] (cache-blocked, column
 //!   sweep) vs [`nbody::pm::cic_deposit`] (scalar AoS), every backend,
 //!   over [`inputs::particle_cases`] including NaN/±inf positions.
-//! * `fof-cols` — [`halo::fof_kdtree_cols`] (packed leaf lanes) vs
-//!   [`halo::fof::fof_kdtree`] (row k-d tree), plus column vs row tree
-//!   queries, over [`inputs::coord_cases`].
+//! * `fof-cols` — [`halo::fof_kdtree`] (packed leaf lanes) vs
+//!   [`reference::fof_kdtree_rows`] (row traversal of the same tree), plus
+//!   [`halo::KdTree::k_nearest`] vs the exhaustive
+//!   [`reference::distances2_brute`], over [`inputs::coord_cases`].
 //! * `mbp-cols` — [`halo::potential_at`] / [`halo::mbp_brute_cols`]
 //!   (blocked lane sweep, fixed summation order) vs
 //!   [`halo::mbp::potential_of`] (scalar AoS), every backend.
@@ -29,9 +30,9 @@
 //! tolerance anywhere in this module.
 
 use crate::differential::{roster, Cmp, DiffReport};
-use crate::inputs;
+use crate::{inputs, reference};
 use dpp::{ops, Serial};
-use halo::{fof_kdtree_cols, mbp_brute_cols, potential_at, Coords, KdTree};
+use halo::{fof_kdtree, mbp_brute_cols, potential_at, Coords, KdTree};
 use nbody::pm::{cic_deposit, cic_deposit_soa};
 use nbody::ParticleSoA;
 
@@ -130,19 +131,18 @@ pub fn run_layout_differential() -> DiffReport {
     for case in inputs::coord_cases() {
         let cols = Coords::from_rows(&case.data);
         for link in [0.25f64, 0.7] {
-            let labels_rows = halo::fof::fof_kdtree(&case.data, link);
-            let labels_cols = fof_kdtree_cols(&cols, link);
             rep.check_eq(
                 "fof-cols",
                 &format!("labels/{}/link={link}", case.name),
                 "cols-engine",
-                &labels_rows,
-                &labels_cols,
+                &reference::fof_kdtree_rows(&case.data, link),
+                &fof_kdtree(&cols, link),
             );
         }
-        // Tree structure and query agreement between the two builds.
-        let t_rows = KdTree::build(&case.data, None);
-        let t_cols = KdTree::build_cols(&cols, None);
+        // Neighbour queries against the exhaustive oracle: the distances
+        // bit for bit, and each returned index at its reported distance (a
+        // tie at the k-th distance may pick any of the tied indices).
+        let tree = KdTree::build(&cols, None);
         if !case.data.is_empty() {
             let queries = [
                 case.data[0],
@@ -150,32 +150,20 @@ pub fn run_layout_differential() -> DiffReport {
                 [4.0, 4.0, 4.0],
             ];
             for (qi, q) in queries.iter().enumerate() {
-                let wr = t_rows.within_radius(&case.data, *q, 0.9);
-                let wc = t_cols.within_radius_cols(&cols, *q, 0.9);
-                rep.check_eq(
-                    "fof-cols",
-                    &format!("within_radius/{}/q{qi}", case.name),
-                    "cols-engine",
-                    &wr,
-                    &wc,
-                );
-                let kr: Vec<(u32, u64)> = t_rows
-                    .k_nearest(&case.data, *q, 8)
-                    .into_iter()
-                    .map(|(i, d)| (i, d.to_bits()))
+                let all = reference::distances2_brute(&cols, *q);
+                let mut want = all.clone();
+                want.sort_by(f64::total_cmp);
+                want.truncate(8);
+                let got = tree.k_nearest(&cols, *q, 8);
+                let reported: Vec<u64> = got.iter().map(|&(_, d)| d.to_bits()).collect();
+                let want: Vec<u64> = want.iter().map(|d| d.to_bits()).collect();
+                let at_index: Vec<u64> = got
+                    .iter()
+                    .map(|&(i, _)| all[i as usize].to_bits())
                     .collect();
-                let kc: Vec<(u32, u64)> = t_cols
-                    .k_nearest_cols(&cols, *q, 8)
-                    .into_iter()
-                    .map(|(i, d)| (i, d.to_bits()))
-                    .collect();
-                rep.check_eq(
-                    "fof-cols",
-                    &format!("k_nearest/{}/q{qi}", case.name),
-                    "cols-engine",
-                    &kr,
-                    &kc,
-                );
+                let case = format!("k_nearest/{}/q{qi}", case.name);
+                rep.check_eq("fof-cols", &case, "cols-engine", &want, &reported);
+                rep.check_eq("fof-cols", &case, "cols-index", &at_index, &reported);
             }
         }
     }

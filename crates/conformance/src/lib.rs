@@ -21,6 +21,9 @@
 //!   rewritten for the packed layout (CIC deposit, FOF, MBP, radix,
 //!   histogram) against its retained row-layout reference, bit-for-bit,
 //!   on every backend.
+//! * [`mod@reference`] — the row-layout k-d tree FOF traversal and the
+//!   exhaustive neighbour oracle those checks (and the kernel bench)
+//!   compare against; no production caller.
 //! * [`oracles`] — metamorphic physics oracles: FOF catalog invariance
 //!   under particle permutation, periodic translation, and 1/2/4/8-rank
 //!   domain splits; MBP brute ≡ A*; FFT Parseval and impulse identities;
@@ -58,6 +61,7 @@ pub mod inputs;
 pub mod layout;
 pub mod multi;
 pub mod oracles;
+pub mod reference;
 pub mod render;
 pub mod store;
 pub mod strategies;

@@ -10,13 +10,13 @@
 //! truncate. Two guards address this:
 //!
 //! * **quiescence gate** — a new file is submitted only once its size is
-//!   unchanged across two consecutive polls ([`ListenerConfig::require_quiescence`]);
-//!   the final sweep at [`Listener::stop_report`] applies the same gate (with
-//!   faster re-polls, bounded by [`ListenerConfig::stop_grace`]), so a file
-//!   still being written at stop time is never submitted truncated;
+//!   unchanged across two consecutive polls; the final sweep at
+//!   [`Listener::stop_report`] applies the same gate (with faster re-polls,
+//!   bounded by [`ListenerConfig::stop_grace`]), so a file still being
+//!   written at stop time is never submitted truncated;
 //! * **temporary exclusion** — writers that stage through `foo.tmp` + rename
-//!   are supported by skipping names with a configured suffix outright
-//!   ([`ListenerConfig::exclude_suffix`]).
+//!   are supported by never reacting to names ending in `.tmp`, whatever
+//!   the prefix/suffix filter says.
 //!
 //! On a real facility the listener itself fails: submissions bounce,
 //! directory scans hit filesystem hiccups, and the listener process gets
@@ -63,16 +63,8 @@ pub struct ListenerConfig {
     pub poll_interval: Duration,
     /// Only react to files whose name starts with this prefix…
     pub prefix: String,
-    /// …and ends with this suffix.
+    /// …and ends with this suffix. Names ending in `.tmp` never match.
     pub suffix: String,
-    /// Never react to names ending with this suffix, even when they match
-    /// `prefix`/`suffix` — covers writers that stage output through a
-    /// temporary name before an atomic rename. `None` disables the filter.
-    pub exclude_suffix: Option<String>,
-    /// Submit a newly appeared file only after its size is unchanged across
-    /// two consecutive polls, so in-progress writes are never picked up.
-    /// [`Listener::stop_report`]'s final sweep honors the same gate.
-    pub require_quiescence: bool,
     /// Backoff policy for transient submit/journal failures.
     pub retry: BackoffPolicy,
     /// Persisted handled-file set: preloaded on spawn, appended after every
@@ -124,8 +116,6 @@ impl Default for ListenerConfig {
             poll_interval: Duration::from_millis(20),
             prefix: String::new(),
             suffix: String::new(),
-            exclude_suffix: Some(".tmp".to_string()),
-            require_quiescence: true,
             retry: BackoffPolicy {
                 base_seconds: 0.005,
                 factor: 2.0,
@@ -210,13 +200,7 @@ pub(crate) fn matching_files(dir: &Path, cfg: &ListenerConfig) -> Vec<PathBuf> {
             p.file_name()
                 .and_then(|n| n.to_str())
                 .map(|n| {
-                    n.starts_with(&cfg.prefix)
-                        && n.ends_with(&cfg.suffix)
-                        && cfg
-                            .exclude_suffix
-                            .as_deref()
-                            .map(|x| !n.ends_with(x))
-                            .unwrap_or(true)
+                    n.starts_with(&cfg.prefix) && n.ends_with(&cfg.suffix) && !n.ends_with(".tmp")
                 })
                 .unwrap_or(false)
         })
@@ -380,11 +364,11 @@ where
         if state.lock().is_handled(f) {
             continue;
         }
-        if cfg.require_quiescence {
-            let Ok(meta) = std::fs::metadata(f) else {
-                continue; // raced with a writer's rename/delete
-            };
-            let size = meta.len();
+        let Ok(meta) = std::fs::metadata(f) else {
+            continue; // raced with a writer's rename/delete
+        };
+        let size = meta.len();
+        {
             let mut st = state.lock();
             if st.pending.get(f) != Some(&size) {
                 // First sighting, or still growing: wait for a poll where
@@ -393,30 +377,12 @@ where
                 continue;
             }
         }
-        // Cache gate: a verified artifact for this exact file means the
-        // submission would recompute something that already exists. Record
-        // the file as handled — journal included, so a restart doesn't
-        // resubmit it either — without running a job. Checked only after
-        // quiescence: a half-written file's digest matches nothing anyway,
-        // but there is no point hashing a moving target.
-        if let Some(gate) = &cfg.cache_gate {
-            if (gate.0)(f) {
-                telemetry::count!("listener", "cache_skipped", 1);
-                if let Some(j) = journal {
-                    if !journal_append(f, cfg, report, j) {
-                        return false; // crashed mid-append
-                    }
-                }
-                report.cache_skipped.push(f.clone());
-                state.lock().mark_handled(f);
-                continue;
-            }
-        }
-        if !submit_one(f, cfg, on_file, report, journal) {
-            return false; // crashed mid-submit
-        }
-        if report.submitted.last().map(PathBuf::as_path) == Some(f.as_path()) {
-            state.lock().mark_handled(f);
+        // Checked only after quiescence: a half-written file's digest
+        // matches nothing anyway, but there is no point hashing a moving
+        // target.
+        let cached = cfg.cache_gate.as_ref().is_some_and(|gate| (gate.0)(f));
+        if handle_file(f, cached, cfg, state, journal, on_file, report).is_none() {
+            return false; // crashed mid-append or mid-submit
         }
     }
     // Advance the cursor over the (possibly longer) contiguous handled
@@ -621,6 +587,46 @@ impl Listener {
         self.stop.store(true, Ordering::Release);
         self.handle.join().expect("listener thread panicked")
     }
+}
+
+/// The per-file tail of a sweep, shared by [`sweep_dir`] and the service's
+/// streamed sweep. On a cache-gate hit (`cached`: a verified artifact for
+/// this exact file exists) the file is recorded as handled — journal
+/// included, so a restart doesn't resubmit it either — without running a
+/// job; otherwise it is submitted and marked handled if that succeeded.
+///
+/// Returns `None` when an injected crash killed the sweep, otherwise
+/// whether `f` is now handled.
+pub(crate) fn handle_file<F>(
+    f: &Path,
+    cached: bool,
+    cfg: &ListenerConfig,
+    state: &Mutex<ScanState>,
+    journal: Option<&Journal>,
+    on_file: &mut F,
+    report: &mut ListenerReport,
+) -> Option<bool>
+where
+    F: FnMut(&Path) -> Result<(), SubmitError>,
+{
+    if cached {
+        telemetry::count!("listener", "cache_skipped", 1);
+        if let Some(j) = journal {
+            if !journal_append(f, cfg, report, j) {
+                return None;
+            }
+        }
+        report.cache_skipped.push(f.to_path_buf());
+    } else {
+        if !submit_one(f, cfg, on_file, report, journal) {
+            return None;
+        }
+        if report.submitted.last().map(PathBuf::as_path) != Some(f) {
+            return Some(false); // attempts exhausted; a later sweep retries
+        }
+    }
+    state.lock().mark_handled(f);
+    Some(true)
 }
 
 /// Submit one quiescent file with retry-with-backoff on transient failures.

@@ -50,8 +50,7 @@
 
 use crate::journal::Journal;
 use crate::listener::{
-    journal_append, submit_one, sweep_dir, CacheGate, ListenerConfig, ListenerReport, ScanState,
-    SubmitError,
+    handle_file, sweep_dir, CacheGate, ListenerConfig, ListenerReport, ScanState, SubmitError,
 };
 use crate::runner::centers_over_ranks;
 use crate::stream::{ChunkRef, StreamHub};
@@ -1176,29 +1175,27 @@ fn stream_sweep(inner: &Inner, c: &CampaignState) -> bool {
             continue;
         };
         let bytes = write_container(&container);
-        let digest = cache::digest_bytes(&bytes);
         // Same cache gate as the whole-file path: a verified product for
-        // these exact bytes means the step is already analyzed — record it
-        // handled (journal included) without running a job.
-        if inner.store.contains_verified(c.spec.product_key(digest)) {
-            telemetry::count!("listener", "cache_skipped", 1);
-            if !journal_append(&virt, &c.lcfg, &mut delta, journal) {
-                ok = false; // crashed mid-append
-                break;
-            }
-            delta.cache_skipped.push(virt.clone());
-            c.scan.lock().mark_handled(&virt);
-            c.pending_chunks.lock().remove(&step);
-            continue;
-        }
+        // these exact bytes means the step is already analyzed.
+        let cached = inner
+            .store
+            .contains_verified(c.spec.product_key(cache::digest_bytes(&bytes)));
         let exec_name = step_file_name(step as usize);
         let mut on_file = |_: &Path| analyze_bytes(inner, c, &bytes, &exec_name);
-        if !submit_one(&virt, &c.lcfg, &mut on_file, &mut delta, Some(journal)) {
-            ok = false; // crashed mid-submit
+        let handled = handle_file(
+            &virt,
+            cached,
+            &c.lcfg,
+            &c.scan,
+            Some(journal),
+            &mut on_file,
+            &mut delta,
+        );
+        let Some(handled) = handled else {
+            ok = false; // crashed mid-append or mid-submit
             break;
-        }
-        if delta.submitted.last().map(PathBuf::as_path) == Some(virt.as_path()) {
-            c.scan.lock().mark_handled(&virt);
+        };
+        if handled {
             c.pending_chunks.lock().remove(&step);
         }
     }

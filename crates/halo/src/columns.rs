@@ -1,14 +1,15 @@
 //! Packed coordinate columns for the halo kernels.
 //!
-//! The FOF tree build, neighbour queries, and MBP potential sums all work in
-//! `f64` analysis precision over particle positions. [`Coords`] stores those
-//! positions as three packed columns, widened from `f32` exactly once (the
-//! AoS path re-widened per pair), so the hot loops sweep contiguous lanes.
+//! The k-d tree build, FOF linking, neighbour queries, and MBP potential
+//! sums all work in `f64` analysis precision over particle positions, and
+//! all of them take [`Coords`]: three packed columns, widened from `f32`
+//! exactly once, so the hot loops sweep contiguous lanes.
 //!
-//! Every column kernel is bit-identical to its row-based reference: the
-//! widening is the same `as f64` conversion per component, and the distance
-//! and summation expressions keep the reference association. The layout
-//! conformance suite compares the two paths over the adversarial corpus.
+//! The widening is the same `as f64` conversion per component as
+//! [`Particle::pos_f64`], and the distance and summation expressions keep
+//! the row references' association, so every column kernel is
+//! bit-identical to its reference. The layout conformance suite compares
+//! them over the adversarial corpus.
 
 use nbody::particle::Particle;
 use nbody::soa::ParticleSoA;

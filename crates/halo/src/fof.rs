@@ -1,14 +1,14 @@
 //! Friends-of-friends halo finding (paper §3.3.1).
 //!
-//! Three interchangeable engines:
-//!
-//! * [`fof_kdtree`] — the paper's approach: a balanced k-d tree traversed
-//!   recursively, using bounding boxes to merge or exclude whole subtrees at
-//!   once (non-periodic; the parallel driver handles periodicity through
+//! * [`fof_kdtree`] — the paper's approach and the production engine: a
+//!   balanced k-d tree over packed [`Coords`] traversed recursively, using
+//!   bounding boxes to merge or exclude whole subtrees at once
+//!   (non-periodic; the parallel driver handles periodicity through
 //!   overload regions).
-//! * [`fof_grid`] — a linked-cell engine with full periodic wrap, used for
-//!   single-domain catalogs and as an independent cross-check.
-//! * [`fof_brute`] — O(n²) oracle for tests.
+//! * [`fof_grid`] — a linked-cell engine with full periodic wrap, the
+//!   single-domain engine of the in-situ halo finder task.
+//! * [`fof_brute`] — the O(n²) reference, with no production caller; the
+//!   tests hold the other two engines to its partition.
 
 use crate::columns::Coords;
 use crate::kdtree::{KdTree, LEAF_SIZE};
@@ -34,98 +34,20 @@ pub fn fof_brute(positions: &[[f64; 3]], link: f64) -> Vec<u32> {
     uf.labels().0
 }
 
-/// k-d tree FOF (non-periodic): dual-tree traversal with bounding-box
-/// pruning and whole-subtree linking. Returns group labels (dense, numbered
-/// by first appearance in input order).
-pub fn fof_kdtree(positions: &[[f64; 3]], link: f64) -> Vec<u32> {
-    let n = positions.len();
-    let mut uf = UnionFind::new(n);
-    if n > 0 {
-        let tree = KdTree::build(positions, None);
-        process(&tree, positions, tree.root(), link, &mut uf);
-    }
-    uf.labels().0
-}
-
-/// Recursive per-node processing: resolve children, then link across them.
-fn process(tree: &KdTree, pos: &[[f64; 3]], id: usize, link: f64, uf: &mut UnionFind) {
-    let node = tree.node(id);
-    match node.children {
-        None => {
-            let idx = tree.indices(node);
-            let b2 = link * link;
-            for (a, &i) in idx.iter().enumerate() {
-                for &j in &idx[a + 1..] {
-                    if dist2(pos[i as usize], pos[j as usize]) <= b2 {
-                        uf.union(i as usize, j as usize);
-                    }
-                }
-            }
-        }
-        Some((l, r)) => {
-            process(tree, pos, l, link, uf);
-            process(tree, pos, r, link, uf);
-            connect(tree, pos, l, r, link, uf);
-        }
-    }
-}
-
-/// Link pairs spanning two disjoint subtrees, pruning on box distance and
-/// short-circuiting once the two subtrees are already in one group.
-fn connect(tree: &KdTree, pos: &[[f64; 3]], a: usize, b: usize, link: f64, uf: &mut UnionFind) {
-    let na = tree.node(a);
-    let nb = tree.node(b);
-    if na.bbox.min_dist2_box(&nb.bbox) > link * link {
-        return; // exclusion: no pair can be within the linking length
-    }
-    // Short-circuit: if representative particles of both subtrees are already
-    // connected AND every particle within each subtree is connected to its
-    // representative, nothing new can be learned. Checking full connectivity
-    // is as costly as linking, so we only short-circuit for leaf pairs below.
-    match (na.children, nb.children) {
-        (None, None) => {
-            let b2 = link * link;
-            let ia = tree.indices(na);
-            let ib = tree.indices(nb);
-            for &i in ia {
-                for &j in ib {
-                    if dist2(pos[i as usize], pos[j as usize]) <= b2 {
-                        uf.union(i as usize, j as usize);
-                    }
-                }
-            }
-        }
-        (Some((l, r)), _) if na.end - na.start >= nb.end - nb.start => {
-            connect(tree, pos, l, b, link, uf);
-            connect(tree, pos, r, b, link, uf);
-        }
-        (_, Some((l, r))) => {
-            connect(tree, pos, a, l, link, uf);
-            connect(tree, pos, a, r, link, uf);
-        }
-        (Some((l, r)), None) => {
-            connect(tree, pos, l, b, link, uf);
-            connect(tree, pos, r, b, link, uf);
-        }
-    }
-}
-
-/// Column-layout k-d tree FOF over packed coordinates. Identical labels to
-/// [`fof_kdtree`] on the row equivalent of `coords` (same tree, same
-/// traversal, same union sequence).
+/// k-d tree FOF (non-periodic) over packed coordinates: dual-tree
+/// traversal with bounding-box pruning and whole-subtree linking. Returns
+/// group labels (dense, numbered by first appearance in input order).
 ///
 /// Leaves are gathered once into contiguous stack lanes (bounded by
 /// [`LEAF_SIZE`]) so the O(k²) pair loops run over packed `f64` arrays the
 /// compiler can vectorize, instead of chasing the tree's index indirection
-/// per pair. The distance expression and pair visit order match the row
-/// engine exactly, so the resulting partition — and the label numbering by
-/// first appearance — is identical.
-pub fn fof_kdtree_cols(coords: &Coords, link: f64) -> Vec<u32> {
+/// per pair.
+pub fn fof_kdtree(coords: &Coords, link: f64) -> Vec<u32> {
     let n = coords.len();
     let mut uf = UnionFind::new(n);
     if n > 0 {
-        let tree = KdTree::build_cols(coords, None);
-        process_cols(&tree, coords, tree.root(), link, &mut uf);
+        let tree = KdTree::build(coords, None);
+        process(&tree, coords, tree.root(), link, &mut uf);
     }
     uf.labels().0
 }
@@ -165,7 +87,8 @@ impl LeafLanes {
     }
 }
 
-fn process_cols(tree: &KdTree, coords: &Coords, id: usize, link: f64, uf: &mut UnionFind) {
+/// Recursive per-node processing: resolve children, then link across them.
+fn process(tree: &KdTree, coords: &Coords, id: usize, link: f64, uf: &mut UnionFind) {
     let node = tree.node(id);
     match node.children {
         None => {
@@ -181,18 +104,19 @@ fn process_cols(tree: &KdTree, coords: &Coords, id: usize, link: f64, uf: &mut U
             }
         }
         Some((l, r)) => {
-            process_cols(tree, coords, l, link, uf);
-            process_cols(tree, coords, r, link, uf);
-            connect_cols(tree, coords, l, r, link, uf);
+            process(tree, coords, l, link, uf);
+            process(tree, coords, r, link, uf);
+            connect(tree, coords, l, r, link, uf);
         }
     }
 }
 
-fn connect_cols(tree: &KdTree, coords: &Coords, a: usize, b: usize, link: f64, uf: &mut UnionFind) {
+/// Link pairs spanning two disjoint subtrees, pruning on box distance.
+fn connect(tree: &KdTree, coords: &Coords, a: usize, b: usize, link: f64, uf: &mut UnionFind) {
     let na = tree.node(a);
     let nb = tree.node(b);
     if na.bbox.min_dist2_box(&nb.bbox) > link * link {
-        return;
+        return; // exclusion: no pair can be within the linking length
     }
     match (na.children, nb.children) {
         (None, None) => {
@@ -210,16 +134,16 @@ fn connect_cols(tree: &KdTree, coords: &Coords, a: usize, b: usize, link: f64, u
             }
         }
         (Some((l, r)), _) if na.end - na.start >= nb.end - nb.start => {
-            connect_cols(tree, coords, l, b, link, uf);
-            connect_cols(tree, coords, r, b, link, uf);
+            connect(tree, coords, l, b, link, uf);
+            connect(tree, coords, r, b, link, uf);
         }
         (_, Some((l, r))) => {
-            connect_cols(tree, coords, a, l, link, uf);
-            connect_cols(tree, coords, a, r, link, uf);
+            connect(tree, coords, a, l, link, uf);
+            connect(tree, coords, a, r, link, uf);
         }
         (Some((l, r)), None) => {
-            connect_cols(tree, coords, l, b, link, uf);
-            connect_cols(tree, coords, r, b, link, uf);
+            connect(tree, coords, l, b, link, uf);
+            connect(tree, coords, r, b, link, uf);
         }
     }
 }
@@ -335,6 +259,10 @@ pub fn canonical_partition(labels: &[u32]) -> Vec<Vec<u32>> {
 mod tests {
     use super::*;
 
+    fn kd(positions: &[[f64; 3]], link: f64) -> Vec<u32> {
+        fof_kdtree(&Coords::from_rows(positions), link)
+    }
+
     fn blob(center: [f64; 3], n: usize, spread: f64, seed: u64) -> Vec<[f64; 3]> {
         (0..n)
             .map(|i| {
@@ -352,7 +280,7 @@ mod tests {
     fn two_separated_blobs_are_two_groups() {
         let mut pos = blob([10.0, 10.0, 10.0], 50, 1.0, 1);
         pos.extend(blob([30.0, 30.0, 30.0], 30, 1.0, 2));
-        let labels = fof_kdtree(&pos, 1.0);
+        let labels = kd(&pos, 1.0);
         let groups = members_by_group(&labels);
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].len(), 50);
@@ -363,33 +291,12 @@ mod tests {
     fn chain_links_into_one_group() {
         // Particles spaced 0.9 apart in a line with link 1.0 → one group.
         let pos: Vec<[f64; 3]> = (0..100).map(|i| [i as f64 * 0.9, 0.0, 0.0]).collect();
-        let labels = fof_kdtree(&pos, 1.0);
+        let labels = kd(&pos, 1.0);
         assert!(labels.iter().all(|&l| l == 0));
         // With link 0.8 every particle is isolated.
-        let labels = fof_kdtree(&pos, 0.8);
+        let labels = kd(&pos, 0.8);
         let groups = members_by_group(&labels);
         assert_eq!(groups.len(), 100);
-    }
-
-    #[test]
-    fn cols_engine_labels_identical_to_rows() {
-        let mut pos = blob([5.0, 5.0, 5.0], 400, 3.0, 11);
-        pos.extend(blob([9.0, 6.0, 5.0], 300, 2.5, 12));
-        pos.extend(blob([25.0, 25.0, 25.0], 200, 4.0, 13));
-        let cols = Coords::from_rows(&pos);
-        for link in [0.3, 0.7, 1.5] {
-            assert_eq!(
-                fof_kdtree(&pos, link),
-                fof_kdtree_cols(&cols, link),
-                "link={link}"
-            );
-        }
-        // Degenerate inputs agree too.
-        assert!(fof_kdtree_cols(&Coords::new(), 1.0).is_empty());
-        assert_eq!(
-            fof_kdtree_cols(&Coords::from_rows(&[[0.0; 3]]), 1.0),
-            vec![0]
-        );
     }
 
     #[test]
@@ -398,7 +305,7 @@ mod tests {
         pos.extend(blob([8.0, 5.0, 5.0], 80, 2.5, 4));
         pos.extend(blob([20.0, 20.0, 20.0], 60, 4.0, 5));
         for link in [0.3, 0.7, 1.5] {
-            let a = canonical_partition(&fof_kdtree(&pos, link));
+            let a = canonical_partition(&kd(&pos, link));
             let b = canonical_partition(&fof_brute(&pos, link));
             assert_eq!(a, b, "link={link}");
         }
@@ -432,7 +339,7 @@ mod tests {
     fn kdtree_does_not_link_across_boundary() {
         // The non-periodic engine must NOT wrap.
         let pos = vec![[0.2, 5.0, 5.0], [9.9, 5.0, 5.0]];
-        let labels = fof_kdtree(&pos, 0.5);
+        let labels = kd(&pos, 0.5);
         assert_ne!(labels[0], labels[1]);
     }
 
@@ -443,11 +350,11 @@ mod tests {
             p.extend(blob([15.0, 15.0, 15.0], 50, 2.0, 9));
             p
         };
-        let base = canonical_partition(&fof_kdtree(&pos, 0.8));
+        let base = canonical_partition(&kd(&pos, 0.8));
         // Reverse the input order; partitions (as index sets mapped back)
         // must be identical.
         let rev: Vec<[f64; 3]> = pos.iter().rev().copied().collect();
-        let labels_rev = fof_kdtree(&rev, 0.8);
+        let labels_rev = kd(&rev, 0.8);
         let n = pos.len();
         // Map reversed labels back to original indices.
         let mut mapped = vec![0u32; n];
@@ -460,8 +367,8 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        assert!(fof_kdtree(&[], 1.0).is_empty());
-        assert_eq!(fof_kdtree(&[[0.0; 3]], 1.0), vec![0]);
+        assert!(fof_kdtree(&Coords::new(), 1.0).is_empty());
+        assert_eq!(kd(&[[0.0; 3]], 1.0), vec![0]);
         assert!(fof_grid(&[], 1.0, 10.0).is_empty());
     }
 
@@ -481,7 +388,7 @@ mod tests {
                 c as u64 + 10,
             ));
         }
-        let a = canonical_partition(&fof_kdtree(&pos, 1.1));
+        let a = canonical_partition(&kd(&pos, 1.1));
         let b = canonical_partition(&fof_grid(&pos, 1.1, 100.0));
         assert_eq!(a, b);
     }

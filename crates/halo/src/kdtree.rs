@@ -3,15 +3,11 @@
 //! finder (k-nearest-neighbour densities), and the A* center finder
 //! (optimistic potential bounds).
 //!
-//! Two equivalent build/query paths exist: the row-based originals
-//! ([`KdTree::build`], [`KdTree::within_radius`], [`KdTree::k_nearest`]) and
-//! the packed-column versions ([`KdTree::build_cols`],
-//! [`KdTree::within_radius_cols`], [`KdTree::k_nearest_cols`]) over
-//! [`Coords`]. The column build compares single packed lanes in the median
-//! select instead of loading 24-byte rows; both paths use the same median
-//! algorithm and comparator over the same values, so they produce identical
-//! trees and identical query results — the layout conformance suite checks
-//! this bit-for-bit.
+//! The tree is built and queried over packed [`Coords`] columns: the
+//! median select compares single packed lanes of the split axis instead of
+//! loading 24-byte rows, and leaf scans read the three coordinate lanes.
+//! Row-layout callers convert once with [`Coords::from_rows`] or
+//! [`Coords::from_particles`].
 
 use crate::columns::Coords;
 
@@ -105,8 +101,8 @@ pub struct KdNode {
     pub children: Option<(usize, usize)>,
 }
 
-/// Balanced k-d tree. Positions are referenced by index into the caller's
-/// array; the tree stores a reordering.
+/// Balanced k-d tree. Points are referenced by index into the caller's
+/// [`Coords`]; the tree stores a reordering.
 #[derive(Debug, Clone)]
 pub struct KdTree {
     nodes: Vec<KdNode>,
@@ -118,69 +114,9 @@ pub struct KdTree {
 pub const LEAF_SIZE: usize = 24;
 
 impl KdTree {
-    /// Build over `positions` (with unit masses). `masses` may be supplied
-    /// for mass-weighted uses.
-    pub fn build(positions: &[[f64; 3]], masses: Option<&[f64]>) -> Self {
-        let n = positions.len();
-        if let Some(m) = masses {
-            assert_eq!(m.len(), n, "one mass per position");
-        }
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let mut nodes = Vec::new();
-        if n > 0 {
-            Self::build_node(positions, masses, &mut order, 0, n, &mut nodes);
-        }
-        KdTree { nodes, order }
-    }
-
-    fn build_node(
-        positions: &[[f64; 3]],
-        masses: Option<&[f64]>,
-        order: &mut [u32],
-        start: usize,
-        end: usize,
-        nodes: &mut Vec<KdNode>,
-    ) -> usize {
-        let mut bbox = Aabb::empty();
-        let mut mass = 0.0;
-        for &i in &order[start..end] {
-            bbox.include(positions[i as usize]);
-            mass += masses.map_or(1.0, |m| m[i as usize]);
-        }
-        let id = nodes.len();
-        nodes.push(KdNode {
-            bbox,
-            mass,
-            start,
-            end,
-            children: None,
-        });
-        if end - start > LEAF_SIZE {
-            // Split on the widest axis at the median (balanced tree).
-            let axis = (0..3)
-                .max_by(|&a, &b| {
-                    (bbox.hi[a] - bbox.lo[a])
-                        .partial_cmp(&(bbox.hi[b] - bbox.lo[b]))
-                        .unwrap()
-                })
-                .unwrap();
-            let mid = (start + end) / 2;
-            order[start..end].select_nth_unstable_by(mid - start, |&a, &b| {
-                positions[a as usize][axis]
-                    .partial_cmp(&positions[b as usize][axis])
-                    .unwrap()
-            });
-            let left = Self::build_node(positions, masses, order, start, mid, nodes);
-            let right = Self::build_node(positions, masses, order, mid, end, nodes);
-            nodes[id].children = Some((left, right));
-        }
-        id
-    }
-
-    /// Build over packed coordinate columns. Produces a tree identical to
-    /// [`KdTree::build`] on the row equivalent of `coords`; the median
-    /// select touches only the split axis' packed column.
-    pub fn build_cols(coords: &Coords, masses: Option<&[f64]>) -> Self {
+    /// Build over packed coordinate columns (with unit masses when `masses`
+    /// is `None`). The median select touches only the split axis' column.
+    pub fn build(coords: &Coords, masses: Option<&[f64]>) -> Self {
         let n = coords.len();
         if let Some(m) = masses {
             assert_eq!(m.len(), n, "one mass per position");
@@ -188,12 +124,12 @@ impl KdTree {
         let mut order: Vec<u32> = (0..n as u32).collect();
         let mut nodes = Vec::new();
         if n > 0 {
-            Self::build_node_cols(coords, masses, &mut order, 0, n, &mut nodes);
+            Self::build_node(coords, masses, &mut order, 0, n, &mut nodes);
         }
         KdTree { nodes, order }
     }
 
-    fn build_node_cols(
+    fn build_node(
         coords: &Coords,
         masses: Option<&[f64]>,
         order: &mut [u32],
@@ -218,7 +154,7 @@ impl KdTree {
             children: None,
         });
         if end - start > LEAF_SIZE {
-            // Same split rule as the row build: widest axis, median element.
+            // Split on the widest axis at the median (balanced tree).
             let axis = (0..3)
                 .max_by(|&a, &b| {
                     (bbox.hi[a] - bbox.lo[a])
@@ -231,8 +167,8 @@ impl KdTree {
             order[start..end].select_nth_unstable_by(mid - start, |&a, &b| {
                 ax[a as usize].partial_cmp(&ax[b as usize]).unwrap()
             });
-            let left = Self::build_node_cols(coords, masses, order, start, mid, nodes);
-            let right = Self::build_node_cols(coords, masses, order, mid, end, nodes);
+            let left = Self::build_node(coords, masses, order, start, mid, nodes);
+            let right = Self::build_node(coords, masses, order, mid, end, nodes);
             nodes[id].children = Some((left, right));
         }
         id
@@ -264,48 +200,14 @@ impl KdTree {
         &self.order[node.start..node.end]
     }
 
-    /// Indices of all particles within `r` of `query` (Euclidean,
-    /// non-periodic).
-    pub fn within_radius(&self, positions: &[[f64; 3]], query: [f64; 3], r: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        if self.nodes.is_empty() {
-            return out;
-        }
-        let r2 = r * r;
-        let mut stack = vec![self.root()];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if node.bbox.min_dist2_point(query) > r2 {
-                continue;
-            }
-            match node.children {
-                Some((l, rgt)) => {
-                    stack.push(l);
-                    stack.push(rgt);
-                }
-                None => {
-                    for &i in self.indices(node) {
-                        let p = positions[i as usize];
-                        let d2 = (p[0] - query[0]).powi(2)
-                            + (p[1] - query[1]).powi(2)
-                            + (p[2] - query[2]).powi(2);
-                        if d2 <= r2 {
-                            out.push(i);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// The `k` nearest neighbours of `query` (including the query point
     /// itself if it is in the tree). Returns `(index, dist²)` sorted by
-    /// distance.
-    pub fn k_nearest(&self, positions: &[[f64; 3]], query: [f64; 3], k: usize) -> Vec<(u32, f64)> {
+    /// distance, ties broken by index among the neighbours found.
+    pub fn k_nearest(&self, coords: &Coords, query: [f64; 3], k: usize) -> Vec<(u32, f64)> {
         if self.nodes.is_empty() || k == 0 {
             return Vec::new();
         }
+        let (xs, ys, zs) = (coords.xs(), coords.ys(), coords.zs());
         // Max-heap of current best k (keyed on dist²).
         let mut heap: Vec<(f64, u32)> = Vec::with_capacity(k + 1);
         let worst = |h: &Vec<(f64, u32)>| {
@@ -336,109 +238,14 @@ impl KdTree {
                 }
                 None => {
                     for &i in self.indices(node) {
-                        let p = positions[i as usize];
-                        let d2 = (p[0] - query[0]).powi(2)
-                            + (p[1] - query[1]).powi(2)
-                            + (p[2] - query[2]).powi(2);
+                        let j = i as usize;
+                        let d2 = (xs[j] - query[0]).powi(2)
+                            + (ys[j] - query[1]).powi(2)
+                            + (zs[j] - query[2]).powi(2);
                         if d2 < worst(&heap) || heap.len() < k {
                             heap.push((d2, i));
                             if heap.len() > k {
                                 // Drop the farthest.
-                                let (mi, _) = heap
-                                    .iter()
-                                    .enumerate()
-                                    .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).unwrap())
-                                    .unwrap();
-                                heap.swap_remove(mi);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut out: Vec<(u32, f64)> = heap.into_iter().map(|(d2, i)| (i, d2)).collect();
-        out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Column-layout [`KdTree::within_radius`]: identical traversal and
-    /// distance expression, with leaf coordinates loaded from packed lanes.
-    pub fn within_radius_cols(&self, coords: &Coords, query: [f64; 3], r: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        if self.nodes.is_empty() {
-            return out;
-        }
-        let (xs, ys, zs) = (coords.xs(), coords.ys(), coords.zs());
-        let r2 = r * r;
-        let mut stack = vec![self.root()];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if node.bbox.min_dist2_point(query) > r2 {
-                continue;
-            }
-            match node.children {
-                Some((l, rgt)) => {
-                    stack.push(l);
-                    stack.push(rgt);
-                }
-                None => {
-                    for &i in self.indices(node) {
-                        let j = i as usize;
-                        let d2 = (xs[j] - query[0]).powi(2)
-                            + (ys[j] - query[1]).powi(2)
-                            + (zs[j] - query[2]).powi(2);
-                        if d2 <= r2 {
-                            out.push(i);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Column-layout [`KdTree::k_nearest`]: identical traversal, heap
-    /// discipline, and tie-breaking over packed coordinate lanes.
-    pub fn k_nearest_cols(&self, coords: &Coords, query: [f64; 3], k: usize) -> Vec<(u32, f64)> {
-        if self.nodes.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let (xs, ys, zs) = (coords.xs(), coords.ys(), coords.zs());
-        let mut heap: Vec<(f64, u32)> = Vec::with_capacity(k + 1);
-        let worst = |h: &Vec<(f64, u32)>| {
-            if h.len() < k {
-                f64::INFINITY
-            } else {
-                h.iter().map(|e| e.0).fold(0.0, f64::max)
-            }
-        };
-        let mut stack = vec![self.root()];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if node.bbox.min_dist2_point(query) > worst(&heap) {
-                continue;
-            }
-            match node.children {
-                Some((l, r)) => {
-                    let dl = self.nodes[l].bbox.min_dist2_point(query);
-                    let dr = self.nodes[r].bbox.min_dist2_point(query);
-                    if dl < dr {
-                        stack.push(r);
-                        stack.push(l);
-                    } else {
-                        stack.push(l);
-                        stack.push(r);
-                    }
-                }
-                None => {
-                    for &i in self.indices(node) {
-                        let j = i as usize;
-                        let d2 = (xs[j] - query[0]).powi(2)
-                            + (ys[j] - query[1]).powi(2)
-                            + (zs[j] - query[2]).powi(2);
-                        if d2 < worst(&heap) || heap.len() < k {
-                            heap.push((d2, i));
-                            if heap.len() > k {
                                 let (mi, _) = heap
                                     .iter()
                                     .enumerate()
@@ -461,8 +268,8 @@ impl KdTree {
 mod tests {
     use super::*;
 
-    fn cloud(n: usize) -> Vec<[f64; 3]> {
-        (0..n)
+    fn cloud(n: usize) -> Coords {
+        let rows: Vec<[f64; 3]> = (0..n)
             .map(|i| {
                 let t = i as f64;
                 [
@@ -471,7 +278,8 @@ mod tests {
                     (t * 0.732_051).fract() * 100.0,
                 ]
             })
-            .collect()
+            .collect();
+        Coords::from_rows(&rows)
     }
 
     #[test]
@@ -506,35 +314,15 @@ mod tests {
     }
 
     #[test]
-    fn within_radius_matches_brute_force() {
-        let pos = cloud(2000);
-        let tree = KdTree::build(&pos, None);
-        for qi in [0usize, 100, 999] {
-            let q = pos[qi];
-            let r = 7.5;
-            let mut got = tree.within_radius(&pos, q, r);
-            got.sort_unstable();
-            let mut expect: Vec<u32> = (0..pos.len() as u32)
-                .filter(|&i| {
-                    let p = pos[i as usize];
-                    (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2) + (p[2] - q[2]).powi(2) <= r * r
-                })
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(got, expect);
-        }
-    }
-
-    #[test]
     fn k_nearest_matches_brute_force() {
         let pos = cloud(1500);
         let tree = KdTree::build(&pos, None);
-        let q = pos[42];
+        let q = pos.get(42);
         let k = 16;
         let got = tree.k_nearest(&pos, q, k);
         let mut all: Vec<(u32, f64)> = (0..pos.len() as u32)
             .map(|i| {
-                let p = pos[i as usize];
+                let p = pos.get(i as usize);
                 let d2 = (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2) + (p[2] - q[2]).powi(2);
                 (i, d2)
             })
@@ -553,56 +341,15 @@ mod tests {
     fn k_larger_than_n_returns_all() {
         let pos = cloud(5);
         let tree = KdTree::build(&pos, None);
-        let got = tree.k_nearest(&pos, pos[0], 10);
+        let got = tree.k_nearest(&pos, pos.get(0), 10);
         assert_eq!(got.len(), 5);
     }
 
     #[test]
     fn empty_tree_queries() {
-        let tree = KdTree::build(&[], None);
+        let tree = KdTree::build(&Coords::new(), None);
         assert!(tree.is_empty());
-        assert!(tree.within_radius(&[], [0.0; 3], 1.0).is_empty());
-        assert!(tree.k_nearest(&[], [0.0; 3], 3).is_empty());
-    }
-
-    #[test]
-    fn column_build_produces_identical_tree() {
-        let pos = cloud(5000);
-        let cols = Coords::from_rows(&pos);
-        let a = KdTree::build(&pos, None);
-        let b = KdTree::build_cols(&cols, None);
-        assert_eq!(a.order, b.order, "reordering must match");
-        assert_eq!(a.nodes.len(), b.nodes.len());
-        for (na, nb) in a.nodes.iter().zip(&b.nodes) {
-            assert_eq!(na.start, nb.start);
-            assert_eq!(na.end, nb.end);
-            assert_eq!(na.children, nb.children);
-            assert_eq!(na.mass.to_bits(), nb.mass.to_bits());
-            for d in 0..3 {
-                assert_eq!(na.bbox.lo[d].to_bits(), nb.bbox.lo[d].to_bits());
-                assert_eq!(na.bbox.hi[d].to_bits(), nb.bbox.hi[d].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn column_queries_match_row_queries() {
-        let pos = cloud(2000);
-        let cols = Coords::from_rows(&pos);
-        let tree = KdTree::build(&pos, None);
-        for qi in [0usize, 77, 1999] {
-            let q = pos[qi];
-            let a = tree.within_radius(&pos, q, 6.5);
-            let b = tree.within_radius_cols(&cols, q, 6.5);
-            assert_eq!(a, b);
-            let ka = tree.k_nearest(&pos, q, 12);
-            let kb = tree.k_nearest_cols(&cols, q, 12);
-            assert_eq!(ka.len(), kb.len());
-            for (x, y) in ka.iter().zip(&kb) {
-                assert_eq!(x.0, y.0);
-                assert_eq!(x.1.to_bits(), y.1.to_bits());
-            }
-        }
+        assert!(tree.k_nearest(&Coords::new(), [0.0; 3], 3).is_empty());
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! The analysis tasks the paper's workflows orchestrate, written once against
 //! the `dpp` data-parallel layer:
 //!
-//! * **FOF halo identification** (§3.3.1) — balanced k-d tree with
-//!   bounding-box pruning ([`fof::fof_kdtree`]), a periodic linked-cell
-//!   engine ([`fof::fof_grid`]), and the rank-parallel driver with overload
-//!   regions ([`parallel::parallel_fof`]).
+//! * **FOF halo identification** (§3.3.1) — one balanced k-d tree over
+//!   packed coordinate columns ([`kdtree::KdTree`], [`columns::Coords`])
+//!   with bounding-box pruning ([`fof::fof_kdtree`]), a periodic
+//!   linked-cell engine ([`fof::fof_grid`]), and the rank-parallel driver
+//!   with overload regions ([`parallel::parallel_fof`]). The same tree
+//!   serves the subhalo densities and the A* center bounds; the row-layout
+//!   reference traversal lives in the `conformance` crate.
 //! * **MBP center finding** (§3.3.2) — the data-parallel O(n²) kernel
 //!   ([`mbp::mbp_brute`]) and the serial A* baseline ([`mbp::mbp_astar`]).
 //! * **Spherical overdensity masses** ([`so::so_mass`]).
@@ -34,7 +37,7 @@ pub mod unionfind;
 
 pub use catalog::{unwrap_positions, Halo, HaloCatalog};
 pub use columns::Coords;
-pub use fof::{fof_brute, fof_grid, fof_kdtree, fof_kdtree_cols, members_by_group};
+pub use fof::{fof_brute, fof_grid, fof_kdtree, members_by_group};
 pub use kdtree::{Aabb, KdTree};
 pub use massfn::{fit_power_law, FittedMassFunction, MassFunction};
 pub use mbp::{

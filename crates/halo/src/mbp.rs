@@ -27,7 +27,9 @@ pub struct MbpResult {
     pub exact_evaluations: usize,
 }
 
-/// Exact potential of particle `i` (O(n)).
+/// Exact potential of particle `i` (O(n)): the scalar AoS reference. It has
+/// no production caller; the tests and the layout battery hold
+/// [`potential_at`] to its bits.
 pub fn potential_of(particles: &[Particle], i: usize, softening: f64) -> f64 {
     let pi = particles[i].pos_f64();
     let mut acc = 0.0;
@@ -48,7 +50,7 @@ pub fn potential_of(particles: &[Particle], i: usize, softening: f64) -> f64 {
 const MBP_LANES: usize = 16;
 
 /// Exact potential of point `i` over packed coordinate columns, blocked in
-/// [`MBP_LANES`]-wide strips. Bit-identical to [`potential_of`] on the
+/// `MBP_LANES`-wide strips. Bit-identical to [`potential_of`] on the
 /// particle equivalent.
 ///
 /// Each strip computes its distances, softened inverses, and mass weights
@@ -156,9 +158,9 @@ pub fn mbp_brute(backend: &dyn Backend, particles: &[Particle], softening: f64) 
 pub fn mbp_astar(particles: &[Particle], softening: f64) -> MbpResult {
     assert!(!particles.is_empty(), "cannot center an empty halo");
     let n = particles.len();
-    let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
+    let coords = Coords::from_particles(particles);
     let masses: Vec<f64> = particles.iter().map(|p| p.mass as f64).collect();
-    let tree = KdTree::build(&positions, Some(&masses));
+    let tree = KdTree::build(&coords, Some(&masses));
     // Map particle index → slot in the tree's reordered index array, so leaf
     // membership of the query particle can be tested against node ranges.
     let mut slot_of = vec![0usize; n];
@@ -169,7 +171,7 @@ pub fn mbp_astar(particles: &[Particle], softening: f64) -> MbpResult {
     // Optimistic bound per particle: open nodes while they are "close and
     // big", otherwise bound the whole node by its minimum distance.
     let bound_of = |i: usize| -> f64 {
-        let q = positions[i];
+        let q = coords.get(i);
         let mut acc = 0.0;
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
@@ -192,7 +194,7 @@ pub fn mbp_astar(particles: &[Particle], softening: f64) -> MbpResult {
                             if j == i {
                                 continue;
                             }
-                            let p = positions[j];
+                            let p = coords.get(j);
                             let d = ((p[0] - q[0]).powi(2)
                                 + (p[1] - q[1]).powi(2)
                                 + (p[2] - q[2]).powi(2))
@@ -215,13 +217,13 @@ pub fn mbp_astar(particles: &[Particle], softening: f64) -> MbpResult {
     order.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
 
     let mut best_idx = order[0].0;
-    let mut best_pot = potential_of(particles, best_idx, softening);
+    let mut best_pot = potential_at(&coords, &masses, best_idx, softening);
     let mut evals = 1;
     for &(i, bound) in order.iter().skip(1) {
         if bound >= best_pot {
             break; // no remaining candidate can beat the best exact value
         }
-        let pot = potential_of(particles, i, softening);
+        let pot = potential_at(&coords, &masses, i, softening);
         evals += 1;
         if pot < best_pot || (pot == best_pot && i < best_idx) {
             best_pot = pot;

@@ -10,7 +10,7 @@
 
 use crate::catalog::{Halo, HaloCatalog};
 use crate::columns::Coords;
-use crate::fof::{fof_kdtree_cols, members_by_group};
+use crate::fof::{fof_kdtree, members_by_group};
 use comm::{exchange_overload, CartDecomp, Communicator};
 use nbody::particle::Particle;
 
@@ -106,8 +106,8 @@ pub fn parallel_fof(
     }
 
     // Serial FOF on the extended patch (non-periodic: the shell covers the
-    // seams). The column engine yields labels identical to `fof_kdtree`.
-    let labels = fof_kdtree_cols(&Coords::from_rows(&positions), cfg.link_length);
+    // seams).
+    let labels = fof_kdtree(&Coords::from_rows(&positions), cfg.link_length);
     let groups = members_by_group(&labels);
 
     let mut catalog = HaloCatalog::new();

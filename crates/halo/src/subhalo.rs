@@ -11,6 +11,7 @@
 //! 3. unbind: iteratively remove particles with positive total energy, at
 //!    most one quarter of the positive-energy particles per pass.
 
+use crate::columns::Coords;
 use crate::kdtree::KdTree;
 use nbody::particle::Particle;
 
@@ -57,11 +58,11 @@ pub fn local_densities(particles: &[Particle], k: usize) -> Vec<f64> {
         return Vec::new();
     }
     let k = k.min(n);
-    let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
-    let tree = KdTree::build(&positions, None);
+    let coords = Coords::from_particles(particles);
+    let tree = KdTree::build(&coords, None);
     let mut rho = vec![0.0f64; n];
     for i in 0..n {
-        let nn = tree.k_nearest(&positions, positions[i], k);
+        let nn = tree.k_nearest(&coords, coords.get(i), k);
         let h2 = nn.last().map(|&(_, d2)| d2).unwrap_or(0.0);
         if h2 <= 0.0 {
             rho[i] = f64::INFINITY; // coincident points: formally infinite
@@ -89,9 +90,9 @@ pub fn find_subhalos(particles: &[Particle], params: &SubhaloParams) -> Vec<Subh
     if n < params.min_size {
         return Vec::new();
     }
-    let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
+    let coords = Coords::from_particles(particles);
     let rho = local_densities(particles, params.n_neighbors);
-    let tree = KdTree::build(&positions, None);
+    let tree = KdTree::build(&coords, None);
 
     // Process in descending density.
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -123,7 +124,7 @@ pub fn find_subhalos(particles: &[Particle], params: &SubhaloParams) -> Vec<Subh
     for &i in &order {
         let iu = i as usize;
         // Denser neighbours among the k nearest.
-        let nn = tree.k_nearest(&positions, positions[iu], params.n_neighbors);
+        let nn = tree.k_nearest(&coords, coords.get(iu), params.n_neighbors);
         let mut attached: Vec<u32> = Vec::new();
         for &(j, _) in &nn {
             if j == i {
@@ -365,6 +366,34 @@ mod tests {
                 assert!(seen.insert(m), "particle {m} in two subhalos");
             }
         }
+    }
+
+    /// Pins the exact bits of the density estimate and the subhalo member
+    /// lists on a fixed multi-clump parent, so a change of tree layout or
+    /// query order that moves any neighbour set shows up here.
+    #[test]
+    fn outputs_are_bit_pinned_on_a_multi_clump_parent() {
+        let mut parts = clump([0.0; 3], 140, 0.6, 0.01, 11);
+        parts.extend(clump([3.0, 0.5, 0.0], 110, 0.5, 0.01, 12));
+        parts.extend(clump([0.5, 3.5, 1.0], 90, 0.7, 0.01, 13));
+        parts.extend(clump([1.5, 1.5, 1.5], 60, 6.0, 0.05, 14));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for rho in local_densities(&parts, 24) {
+            eat(rho.to_bits());
+        }
+        let subs = find_subhalos(&parts, &SubhaloParams::default());
+        assert!(subs.len() >= 2, "got {}", subs.len());
+        for s in &subs {
+            eat(s.members.len() as u64);
+            s.members.iter().for_each(|&m| eat(m as u64));
+            eat(s.peak_density.to_bits());
+        }
+        assert_eq!(h, 0x8b3a_f963_733b_1a38, "subhalo output digest moved");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property tests for the halo analysis algorithms.
 
 use halo::{
-    fof_brute, fof_kdtree, fof_kdtree_cols, mbp_astar, mbp_brute, members_by_group, potential_of,
-    so_mass, Coords, KdTree, MassFunction,
+    fof_brute, fof_kdtree, mbp_astar, mbp_brute, members_by_group, potential_of, so_mass, Coords,
+    KdTree, MassFunction,
 };
 use nbody::particle::Particle;
 use proptest::prelude::*;
@@ -24,6 +24,10 @@ fn particles_from(positions: &[[f64; 3]]) -> Vec<Particle> {
         .collect()
 }
 
+fn kd(positions: &[[f64; 3]], link: f64) -> Vec<u32> {
+    fof_kdtree(&Coords::from_rows(positions), link)
+}
+
 fn canon(labels: &[u32]) -> Vec<Vec<u32>> {
     let mut groups = members_by_group(labels);
     groups.sort_by_key(|g| g.first().copied().unwrap_or(u32::MAX));
@@ -36,16 +40,16 @@ proptest! {
     #[test]
     fn fof_kdtree_equals_brute(positions in cloud(0..220, 20.0), link in 0.3f64..3.0) {
         prop_assert_eq!(
-            canon(&fof_kdtree(&positions, link)),
+            canon(&kd(&positions, link)),
             canon(&fof_brute(&positions, link))
         );
     }
 
     #[test]
     fn fof_is_permutation_invariant(positions in cloud(2..150, 15.0), link in 0.5f64..2.0) {
-        let base = fof_kdtree(&positions, link);
+        let base = kd(&positions, link);
         let rev: Vec<[f64; 3]> = positions.iter().rev().copied().collect();
-        let rev_labels = fof_kdtree(&rev, link);
+        let rev_labels = kd(&rev, link);
         let n = positions.len();
         // Same-group relation must be identical under reversal.
         for i in 0..n.min(40) {
@@ -60,7 +64,7 @@ proptest! {
     #[test]
     fn fof_groups_respect_link_distance(positions in cloud(2..120, 10.0), link in 0.4f64..1.5) {
         // Any two particles within `link` must share a group.
-        let labels = fof_kdtree(&positions, link);
+        let labels = kd(&positions, link);
         for i in 0..positions.len() {
             for j in (i + 1)..positions.len() {
                 let d2: f64 = (0..3).map(|d| (positions[i][d] - positions[j][d]).powi(2)).sum();
@@ -72,7 +76,7 @@ proptest! {
     }
 
     #[test]
-    fn fof_and_mbp_permutation_invariant_in_either_layout(
+    fn fof_and_mbp_permutation_invariant(
         positions in cloud(2..120, 10.0), seed in any::<u64>()
     ) {
         let n = positions.len();
@@ -89,14 +93,8 @@ proptest! {
         let permuted: Vec<[f64; 3]> = perm.iter().map(|&k| positions[k]).collect();
         let link = 0.9;
 
-        // Row and column engines yield *identical* labels on the same
-        // input, before and after permutation.
-        let rows = fof_kdtree(&positions, link);
-        let cols = fof_kdtree_cols(&Coords::from_rows(&positions), link);
-        prop_assert_eq!(&rows, &cols);
-        let rows_p = fof_kdtree(&permuted, link);
-        let cols_p = fof_kdtree_cols(&Coords::from_rows(&permuted), link);
-        prop_assert_eq!(&rows_p, &cols_p);
+        let labels = kd(&positions, link);
+        let labels_p = kd(&permuted, link);
 
         // The catalog (the partition into groups, named by original
         // particle identity) is invariant under the permutation.
@@ -113,10 +111,10 @@ proptest! {
                 })
                 .collect()
         };
-        prop_assert_eq!(partition(&rows, None), partition(&rows_p, Some(&perm)));
+        prop_assert_eq!(partition(&labels, None), partition(&labels_p, Some(&perm)));
 
         // The MBP center (by particle identity) is invariant under the
-        // permutation in both layouts; only the argmin's tie-break and the
+        // permutation; only the argmin's tie-break and the
         // summation association may move, and random clouds have no ties.
         let parts = particles_from(&positions);
         let parts_p: Vec<Particle> = perm.iter().map(|&k| parts[k]).collect();
@@ -149,8 +147,9 @@ proptest! {
     #[test]
     fn knn_matches_brute_force(positions in cloud(1..250, 30.0), qi in any::<prop::sample::Index>(), k in 1usize..20) {
         let q = positions[qi.index(positions.len())];
-        let tree = KdTree::build(&positions, None);
-        let got = tree.k_nearest(&positions, q, k);
+        let coords = Coords::from_rows(&positions);
+        let tree = KdTree::build(&coords, None);
+        let got = tree.k_nearest(&coords, q, k);
         let mut all: Vec<(u32, f64)> = (0..positions.len() as u32)
             .map(|i| {
                 let p = positions[i as usize];

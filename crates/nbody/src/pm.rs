@@ -94,12 +94,12 @@ const CIC_BLOCK: usize = 64;
 /// to [`cic_deposit`] on the converted particle set.
 ///
 /// The kernel is restructured, not renumbered: each chunk walks its
-/// particles in blocks of [`CIC_BLOCK`]. Phase one sweeps the packed
+/// particles in blocks of `CIC_BLOCK` (64). Phase one sweeps the packed
 /// position/mass columns in three vectorizable passes: (a) the pure
 /// `pos / box · ng` arithmetic over fixed-size column windows, (b) a
 /// block-level range check that only falls back to the scalar `rem_euclid`
 /// wrap when some lane is out of `[0, ng)` (bit-identical either way — see
-/// [`wrap_grid`]), and (c) truncation to cell indices plus fractional
+/// `wrap_grid`), and (c) truncation to cell indices plus fractional
 /// offsets. Indices truncate through `i32` (`u as i32` equals `u as usize`
 /// for every wrapped value including NaN→0, and ng is asserted to fit), so
 /// the cast vectorizes on plain SSE2 where a 64-bit cast would not. Phase

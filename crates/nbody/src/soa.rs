@@ -1,6 +1,6 @@
 //! Structure-of-arrays particle storage.
 //!
-//! The 36-byte AoS [`Particle`](crate::particle::Particle) record is the
+//! The 36-byte AoS [`Particle`] record is the
 //! paper's I/O unit, but the analysis kernels (CIC deposit, FOF linking, MBP
 //! potential sums) read one or two fields across *every* particle. Splitting
 //! the record into packed per-field columns lets those inner loops issue

@@ -31,7 +31,7 @@ const RENDER_NG: usize = 512;
 const RENDER_STEPS_PER_SNAPSHOT: u64 = 50;
 
 impl MachineKind {
-    /// The `simhpc` machine preset, capped at [`NODE_CAP`] nodes.
+    /// The `simhpc` machine preset, capped at `NODE_CAP` nodes.
     pub fn spec(self) -> MachineSpec {
         let mut m = match self {
             MachineKind::Titan => machine::titan(),

@@ -32,7 +32,7 @@ pub enum QueueDiscipline {
     /// earliest time enough nodes free up; younger jobs may jump ahead only
     /// if they both fit now *and* finish before that reservation — the
     /// discipline real schedulers use, and what the paper's "schedulers
-    /// available at the time were generally inadequate" remark (Ref. [31])
+    /// available at the time were generally inadequate" remark (the paper's Ref. 31)
     /// is about.
     FcfsBackfill,
     /// Conservative backfill: *every* blocked job gets a reservation in an

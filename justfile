@@ -1,7 +1,7 @@
 # Developer workflow shortcuts. `just` (or `just check`) mirrors CI.
 
 # Run everything CI runs, in the same order.
-check: fmt build test clippy
+check: fmt build test clippy doc
 
 fmt:
     cargo fmt --all --check
@@ -14,6 +14,9 @@ test:
 
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Rust line counts per crate (plus the root package, examples and tests),
 # excluding build output and the vendored offline stubs.
