@@ -138,8 +138,11 @@ fn bench_fof_engines(c: &mut Criterion) {
     let link = 0.8;
     let mut group = c.benchmark_group("ablation_fof_engines");
     group.bench_function("kdtree", |b| b.iter(|| halo::fof_kdtree(&coords, link)));
+    group.bench_function("kdtree_periodic", |b| {
+        b.iter(|| halo::fof_periodic(&coords, link, 100.0))
+    });
     group.bench_function("grid_periodic", |b| {
-        b.iter(|| halo::fof_grid(&positions, link, 100.0))
+        b.iter(|| conformance::reference::fof_grid(&positions, link, 100.0))
     });
     group.bench_function("brute_n2", |b| b.iter(|| halo::fof_brute(&positions, link)));
     group.finish();

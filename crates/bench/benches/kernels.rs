@@ -193,6 +193,26 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         });
     }
 
+    // Periodic FOF on the real 32³ snapshot at the in-situ halo finder's
+    // link (0.2 mean spacings): the linked-cell conformance oracle vs the
+    // k-d tree over face images that `HaloFinderTask` runs.
+    {
+        let (particles, box_size) = snapshot_32();
+        let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
+        let cols = Coords::from_particles(particles);
+        let link = 0.2 * box_size / 32.0;
+        let before = time_ms(reps, || {
+            conformance::reference::fof_grid(&positions, link, *box_size)
+        });
+        let after = time_ms(reps, || halo::fof_periodic(&cols, link, *box_size));
+        rows.push(KernelRow {
+            kernel: "fof_periodic",
+            n: particles.len(),
+            before_ms: before,
+            after_ms: after,
+        });
+    }
+
     // MBP potential sums: O(n²), so this runs at halo scale, not box scale.
     {
         let n = if quick { 4_096 } else { 16_384 };

@@ -15,6 +15,12 @@
 //!   [`reference::fof_kdtree_rows`] (row traversal of the same tree), plus
 //!   [`halo::KdTree::k_nearest`] vs the exhaustive
 //!   [`reference::distances2_brute`], over [`inputs::coord_cases`].
+//! * `fof-periodic` — [`halo::fof_periodic`] (k-d tree over face images)
+//!   vs [`reference::fof_grid`] (periodic linked cells): the same label
+//!   `Vec`, over [`inputs::coord_cases`] and the finite
+//!   [`inputs::particle_cases`] folded into a box, and the
+//!   [`oracles::test_universe`] seeds whose blobs straddle faces, an edge
+//!   and a corner.
 //! * `mbp-cols` — [`halo::potential_at`] / [`halo::mbp_brute_cols`]
 //!   (blocked lane sweep, fixed summation order) vs
 //!   [`halo::mbp::potential_of`] (scalar AoS), every backend.
@@ -30,17 +36,18 @@
 //! tolerance anywhere in this module.
 
 use crate::differential::{roster, Cmp, DiffReport};
-use crate::{inputs, reference};
+use crate::{inputs, oracles, reference};
 use dpp::{ops, Serial};
-use halo::{fof_kdtree, mbp_brute_cols, potential_at, Coords, KdTree};
+use halo::{fof_kdtree, fof_periodic, mbp_brute_cols, potential_at, Coords, KdTree};
 use nbody::pm::{cic_deposit, cic_deposit_soa};
 use nbody::ParticleSoA;
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 5] = [
+pub const REQUIRED_KERNELS: [&str; 6] = [
     "cic-soa",
     "fof-cols",
+    "fof-periodic",
     "mbp-cols",
     "radix-u64",
     "histogram-blocked",
@@ -165,6 +172,55 @@ pub fn run_layout_differential() -> DiffReport {
                 rep.check_eq("fof-cols", &case, "cols-engine", &want, &reported);
                 rep.check_eq("fof-cols", &case, "cols-index", &at_index, &reported);
             }
+        }
+    }
+
+    // --- fof-periodic ----------------------------------------------------
+    // Corpus coordinates are folded into the box with `rem_euclid`, which
+    // lands in `[0, L]` (`L` itself when a tiny negative rounds up);
+    // non-finite particles are dropped, as no box holds them.
+    rep.op("fof-periodic");
+    let fold = |rows: &[[f64; 3]], l: f64| -> Vec<[f64; 3]> {
+        rows.iter().map(|p| p.map(|x| x.rem_euclid(l))).collect()
+    };
+    let mut boxes: Vec<(String, Vec<[f64; 3]>, f64)> = Vec::new();
+    for case in inputs::coord_cases() {
+        boxes.push((case.name.to_string(), fold(&case.data, 8.0), 8.0));
+    }
+    for case in inputs::particle_cases() {
+        let finite: Vec<[f64; 3]> = case
+            .data
+            .iter()
+            .map(|p| p.pos_f64())
+            .filter(|q| q.iter().all(|x| x.is_finite()))
+            .collect();
+        boxes.push((
+            format!("particles/{}", case.name),
+            fold(&finite, 32.0),
+            32.0,
+        ));
+    }
+    for seed in 1..=4u64 {
+        let rows = oracles::test_universe(seed)
+            .iter()
+            .map(|p| p.pos_f64())
+            .collect();
+        boxes.push((format!("universe/{seed}"), rows, oracles::BOX_SIZE));
+    }
+    for (name, rows, l) in &boxes {
+        let cols = Coords::from_rows(rows);
+        let mut links = vec![0.25, 0.8];
+        if rows.len() <= 1025 {
+            links.push(l / 2.0); // the largest link either engine accepts
+        }
+        for link in links {
+            rep.check_eq(
+                "fof-periodic",
+                &format!("labels/{name}/link={link}"),
+                "kdtree-images",
+                &reference::fof_grid(rows, link, *l),
+                &fof_periodic(&cols, link, *l),
+            );
         }
     }
 

@@ -21,7 +21,7 @@ use comm::{CartDecomp, World};
 use dpp::Serial;
 use fft::{forward_real, inverse_to_real, Grid3};
 use halo::fof::canonical_partition;
-use halo::{fof_grid, mbp_astar, mbp_brute, parallel_fof, so_mass, FofConfig};
+use halo::{fof_periodic, mbp_astar, mbp_brute, parallel_fof, so_mass, Coords, FofConfig};
 use nbody::particle::Particle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,9 +88,8 @@ fn tag_partition(labels: &[u32], tags: &[u64], min_size: usize) -> BTreeSet<Vec<
 }
 
 fn single_domain_partition(parts: &[Particle], min_size: usize) -> BTreeSet<Vec<u64>> {
-    let positions: Vec<[f64; 3]> = parts.iter().map(|p| p.pos_f64()).collect();
     let tags: Vec<u64> = parts.iter().map(|p| p.tag).collect();
-    let labels = fof_grid(&positions, LINK_LENGTH, BOX_SIZE);
+    let labels = fof_periodic(&Coords::from_particles(parts), LINK_LENGTH, BOX_SIZE);
     tag_partition(&labels, &tags, min_size)
 }
 

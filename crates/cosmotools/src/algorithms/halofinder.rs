@@ -5,10 +5,16 @@
 //! finding* is O(n²) per halo, so only halos at or below `center_threshold`
 //! particles (300,000 in the paper) are centered in situ — the rest are left
 //! for the off-line / co-scheduled stage.
+//!
+//! Identification is [`halo::fof_periodic`]: the k-d tree FOF over the
+//! whole periodic box, with ghost images across the faces standing in for
+//! the paper's overload regions.
 
 use crate::config::{Config, ConfigError};
 use crate::insitu::{AnalysisContext, InSituAlgorithm, Product};
-use halo::{fof_grid, mbp_brute, members_by_group, unwrap_positions, Halo, HaloCatalog};
+use halo::{
+    fof_periodic, mbp_brute, members_by_group, unwrap_positions, Coords, Halo, HaloCatalog,
+};
 use nbody::particle::Particle;
 
 /// The in-situ halo analysis task.
@@ -69,8 +75,7 @@ pub fn find_halos_with_centers(
     }
     let np = (n as f64).cbrt();
     let link = link_frac * box_size / np;
-    let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
-    let labels = fof_grid(&positions, link, box_size);
+    let labels = fof_periodic(&Coords::from_particles(particles), link, box_size);
     for members in members_by_group(&labels) {
         if members.len() < min_size {
             continue;

@@ -1,14 +1,21 @@
 //! Friends-of-friends halo finding (paper §3.3.1).
 //!
-//! * [`fof_kdtree`] — the paper's approach and the production engine: a
-//!   balanced k-d tree over packed [`Coords`] traversed recursively, using
-//!   bounding boxes to merge or exclude whole subtrees at once
-//!   (non-periodic; the parallel driver handles periodicity through
-//!   overload regions).
-//! * [`fof_grid`] — a linked-cell engine with full periodic wrap, the
-//!   single-domain engine of the in-situ halo finder task.
-//! * [`fof_brute`] — the O(n²) reference, with no production caller; the
-//!   tests hold the other two engines to its partition.
+//! One engine, the paper's: a balanced k-d tree over packed [`Coords`]
+//! traversed recursively, using bounding boxes to merge or exclude whole
+//! subtrees at once. It has two entry points:
+//!
+//! * [`fof_kdtree`] — non-periodic. The rank-parallel driver calls it on a
+//!   block plus its overload shell, which already covers the seams.
+//! * [`fof_periodic`] — a whole periodic box, the engine of the in-situ
+//!   halo finder. Points within one linking length of a face get ghost
+//!   images across it (the overload-region idea applied inside one box),
+//!   the tree links the extended set, and each image is merged with its
+//!   origin.
+//!
+//! [`fof_brute`] is the O(n²) reference, with no production caller; the
+//! tests hold both entry points to its partition. A periodic linked-cell
+//! engine lives in the `conformance` crate as the label oracle for
+//! [`fof_periodic`].
 
 use crate::columns::Coords;
 use crate::kdtree::{KdTree, LEAF_SIZE};
@@ -43,13 +50,90 @@ pub fn fof_brute(positions: &[[f64; 3]], link: f64) -> Vec<u32> {
 /// compiler can vectorize, instead of chasing the tree's index indirection
 /// per pair.
 pub fn fof_kdtree(coords: &Coords, link: f64) -> Vec<u32> {
-    let n = coords.len();
-    let mut uf = UnionFind::new(n);
-    if n > 0 {
-        let tree = KdTree::build(coords, None);
-        process(&tree, coords, tree.root(), link, &mut uf);
-    }
+    let mut uf = UnionFind::new(coords.len());
+    link_within(coords, link, &mut uf);
     uf.labels().0
+}
+
+/// Periodic FOF over a box of side `box_size`: the [`fof_kdtree`] engine
+/// run over the points plus their ghost images across every face within
+/// `link` (edge and corner images included), with each image merged into
+/// its origin. Returns group labels, dense and numbered by first
+/// appearance in input order.
+///
+/// Coordinates must lie in `[0, box_size]`, where the face images are
+/// complete: a pair closer than `link` through a seam always has an image
+/// of one member on the other side. `box_size` itself is the seam image of
+/// `0.0` (an `f32` rounding of a coordinate just below the box side can
+/// land there), so it is accepted.
+pub fn fof_periodic(coords: &Coords, link: f64, box_size: f64) -> Vec<u32> {
+    assert!(
+        link > 0.0 && link <= box_size / 2.0,
+        "linking length {link} must be positive and at most half the box {box_size}"
+    );
+    debug_assert!(
+        (0..3).all(|d| coords.axis(d).iter().all(|x| (0.0..=box_size).contains(x))),
+        "fof_periodic: coordinates outside the box [0, {box_size}]"
+    );
+    let n = coords.len();
+    let mut extended = coords.clone();
+    let origins = append_seam_images(
+        &mut extended,
+        &[0, 1, 2],
+        [0.0; 3],
+        [box_size; 3],
+        link,
+        box_size,
+    );
+    let mut uf = UnionFind::new(extended.len());
+    link_within(&extended, link, &mut uf);
+    for (k, &o) in origins.iter().enumerate() {
+        uf.union(n + k, o as usize);
+    }
+    // Every group holds an original, and labels number groups by their
+    // first member, so the first `n` labels are already dense.
+    let mut labels = uf.labels().0;
+    labels.truncate(n);
+    labels
+}
+
+/// Append periodic self-images along each of `axes` in turn: a point (an
+/// image from an earlier axis included) with `x - lo < width` gets a copy
+/// at `x + box_size`, otherwise one with `hi - x <= width` gets a copy at
+/// `x - box_size`. Returns the index each appended point was copied from,
+/// in append order.
+pub(crate) fn append_seam_images(
+    coords: &mut Coords,
+    axes: &[usize],
+    lo: [f64; 3],
+    hi: [f64; 3],
+    width: f64,
+    box_size: f64,
+) -> Vec<u32> {
+    let mut origins = Vec::new();
+    for &d in axes {
+        for i in 0..coords.len() {
+            let mut q = coords.get(i);
+            q[d] += if q[d] - lo[d] < width {
+                box_size
+            } else if hi[d] - q[d] <= width {
+                -box_size
+            } else {
+                continue;
+            };
+            coords.push(q);
+            origins.push(i as u32);
+        }
+    }
+    origins
+}
+
+/// Union every pair of `coords` within `link` (k-d tree traversal).
+fn link_within(coords: &Coords, link: f64, uf: &mut UnionFind) {
+    if !coords.is_empty() {
+        let tree = KdTree::build(coords, None);
+        process(&tree, coords, tree.root(), link, uf);
+    }
 }
 
 /// A leaf's coordinates gathered into contiguous lanes.
@@ -148,95 +232,6 @@ fn connect(tree: &KdTree, coords: &Coords, a: usize, b: usize, link: f64, uf: &m
     }
 }
 
-/// Linked-cell FOF with periodic boundary conditions in a box of side
-/// `box_size`. Returns group labels.
-pub fn fof_grid(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
-    assert!(link > 0.0 && box_size > 0.0);
-    assert!(
-        link <= box_size / 2.0,
-        "linking length {link} too large for box {box_size}"
-    );
-    let n = positions.len();
-    let mut uf = UnionFind::new(n);
-    if n == 0 {
-        return Vec::new();
-    }
-    // Cells at least one linking length wide.
-    let ncell = ((box_size / link).floor() as usize).clamp(1, 256);
-    let cell_w = box_size / ncell as f64;
-    let cell_of = |p: [f64; 3]| -> [usize; 3] {
-        let mut c = [0usize; 3];
-        for d in 0..3 {
-            let mut v = (p[d].rem_euclid(box_size) / cell_w) as usize;
-            if v >= ncell {
-                v = ncell - 1;
-            }
-            c[d] = v;
-        }
-        c
-    };
-    // Bucket particles.
-    let mut heads: Vec<Vec<u32>> = vec![Vec::new(); ncell * ncell * ncell];
-    for (i, &p) in positions.iter().enumerate() {
-        let c = cell_of(p);
-        heads[(c[0] * ncell + c[1]) * ncell + c[2]].push(i as u32);
-    }
-    let b2 = link * link;
-    let pd2 = |a: [f64; 3], b: [f64; 3]| -> f64 {
-        let mut s = 0.0;
-        for d in 0..3 {
-            let mut v = (a[d] - b[d]).abs();
-            if v > box_size / 2.0 {
-                v = box_size - v;
-            }
-            s += v * v;
-        }
-        s
-    };
-    // For each cell, scan itself + 26 neighbors (half to avoid double work).
-    for cx in 0..ncell {
-        for cy in 0..ncell {
-            for cz in 0..ncell {
-                let me = (cx * ncell + cy) * ncell + cz;
-                let mine = &heads[me];
-                // Within-cell pairs.
-                for (a, &i) in mine.iter().enumerate() {
-                    for &j in &mine[a + 1..] {
-                        if pd2(positions[i as usize], positions[j as usize]) <= b2 {
-                            uf.union(i as usize, j as usize);
-                        }
-                    }
-                }
-                // Cross-cell pairs (each unordered neighbor pair once).
-                for dx in -1i64..=1 {
-                    for dy in -1i64..=1 {
-                        for dz in -1i64..=1 {
-                            if (dx, dy, dz) <= (0, 0, 0) {
-                                continue; // lexicographic half-shell
-                            }
-                            let ox = (cx as i64 + dx).rem_euclid(ncell as i64) as usize;
-                            let oy = (cy as i64 + dy).rem_euclid(ncell as i64) as usize;
-                            let oz = (cz as i64 + dz).rem_euclid(ncell as i64) as usize;
-                            let other = (ox * ncell + oy) * ncell + oz;
-                            if other == me {
-                                continue; // wrapped back (ncell small)
-                            }
-                            for &i in mine {
-                                for &j in &heads[other] {
-                                    if pd2(positions[i as usize], positions[j as usize]) <= b2 {
-                                        uf.union(i as usize, j as usize);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    uf.labels().0
-}
-
 /// Group labels → per-group member lists (groups in label order).
 pub fn members_by_group(labels: &[u32]) -> Vec<Vec<u32>> {
     let ngroups = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
@@ -311,28 +306,86 @@ mod tests {
         }
     }
 
+    fn periodic(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
+        fof_periodic(&Coords::from_rows(positions), link, box_size)
+    }
+
     #[test]
-    fn grid_matches_brute_force_in_interior() {
+    fn periodic_matches_brute_force_in_interior() {
         // Keep everything far from the boundary so periodic wrap is inert.
         let mut pos = blob([40.0, 40.0, 40.0], 150, 5.0, 6);
         pos.extend(blob([60.0, 60.0, 60.0], 100, 5.0, 7));
         for link in [0.5, 1.0, 2.0] {
-            let a = canonical_partition(&fof_grid(&pos, link, 100.0));
+            let a = canonical_partition(&periodic(&pos, link, 100.0));
             let b = canonical_partition(&fof_brute(&pos, link));
             assert_eq!(a, b, "link={link}");
         }
     }
 
     #[test]
-    fn grid_links_across_periodic_boundary() {
+    fn periodic_links_across_the_seam() {
         let pos = vec![
             [0.2, 5.0, 5.0],
             [9.9, 5.0, 5.0], // 0.3 away across the wrap
             [5.0, 5.0, 5.0],
         ];
-        let labels = fof_grid(&pos, 0.5, 10.0);
-        assert_eq!(labels[0], labels[1], "periodic pair must link");
-        assert_ne!(labels[0], labels[2]);
+        assert_eq!(periodic(&pos, 0.5, 10.0), vec![0, 0, 1]);
+    }
+
+    #[test]
+    fn periodic_links_at_exactly_link_across_each_face() {
+        // 0.25 + 10 − 9.75 = 0.5 exactly: the `<=` rule links the pair;
+        // one 1/256 step further does not.
+        for d in 0..3 {
+            let (mut a, mut b, mut far) = ([5.0; 3], [5.0; 3], [5.0; 3]);
+            a[d] = 0.25;
+            b[d] = 9.75;
+            far[d] = 9.75 - 1.0 / 256.0;
+            assert_eq!(periodic(&[a, b], 0.5, 10.0), vec![0, 0], "axis {d}");
+            assert_eq!(periodic(&[b, a], 0.5, 10.0), vec![0, 0], "axis {d}");
+            assert_eq!(periodic(&[a, far], 0.5, 10.0), vec![0, 1], "axis {d}");
+            assert_eq!(periodic(&[far, a], 0.5, 10.0), vec![0, 1], "axis {d}");
+        }
+    }
+
+    #[test]
+    fn periodic_links_across_an_edge() {
+        // 0.25 apart in x and y through the x = y = 0 edge: distance √0.125.
+        let pos = [[0.125, 9.875, 5.0], [9.875, 0.125, 5.0], [5.0, 5.0, 5.0]];
+        assert_eq!(periodic(&pos, 0.5, 10.0), vec![0, 0, 1]);
+        // Each axis alone is 9.75 apart, so nothing links without the wrap.
+        assert_eq!(kd(&pos, 0.5), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn eight_corner_particles_form_one_group() {
+        let mut pos = Vec::new();
+        for c in 0..8 {
+            pos.push([0, 1, 2].map(|d| if c >> d & 1 == 0 { 0.125 } else { 9.875 }));
+        }
+        pos.push([5.0; 3]);
+        let labels = periodic(&pos, 0.3, 10.0);
+        assert_eq!(labels, [vec![0; 8], vec![1]].concat());
+        // Without the wrap all nine are alone.
+        assert_eq!(members_by_group(&kd(&pos, 0.3)).len(), 9);
+    }
+
+    #[test]
+    fn periodic_handles_both_ends_of_the_box() {
+        // 0.0 and the largest f32 below L are one f32 ulp apart through the
+        // seam; L itself is accepted as the seam image of 0.0.
+        let l = 10.0f64;
+        let top = f32::from_bits((l as f32).to_bits() - 1) as f64;
+        let pos = [[0.0, 5.0, 5.0], [top, 5.0, 5.0], [5.0, 5.0, 5.0]];
+        assert_eq!(periodic(&pos, 0.5, l), vec![0, 0, 1]);
+        let pos = [[l, 5.0, 5.0], [0.25, 5.0, 5.0], [5.0, 5.0, 5.0]];
+        assert_eq!(periodic(&pos, 0.5, l), vec![0, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most half the box")]
+    fn periodic_rejects_a_link_over_half_the_box() {
+        periodic(&[[1.0; 3]], 5.5, 10.0);
     }
 
     #[test]
@@ -369,11 +422,12 @@ mod tests {
     fn empty_and_single_inputs() {
         assert!(fof_kdtree(&Coords::new(), 1.0).is_empty());
         assert_eq!(kd(&[[0.0; 3]], 1.0), vec![0]);
-        assert!(fof_grid(&[], 1.0, 10.0).is_empty());
+        assert!(periodic(&[], 1.0, 10.0).is_empty());
+        assert_eq!(periodic(&[[0.0; 3]], 1.0, 10.0), vec![0]);
     }
 
     #[test]
-    fn large_cloud_kdtree_consistency_with_grid() {
+    fn large_cloud_kdtree_consistency_with_periodic() {
         // A denser random cloud in the box interior.
         let mut pos = Vec::new();
         for c in 0..12 {
@@ -389,7 +443,7 @@ mod tests {
             ));
         }
         let a = canonical_partition(&kd(&pos, 1.1));
-        let b = canonical_partition(&fof_grid(&pos, 1.1, 100.0));
+        let b = canonical_partition(&periodic(&pos, 1.1, 100.0));
         assert_eq!(a, b);
     }
 }

@@ -5,11 +5,14 @@
 //!
 //! * **FOF halo identification** (§3.3.1) — one balanced k-d tree over
 //!   packed coordinate columns ([`kdtree::KdTree`], [`columns::Coords`])
-//!   with bounding-box pruning ([`fof::fof_kdtree`]), a periodic
-//!   linked-cell engine ([`fof::fof_grid`]), and the rank-parallel driver
-//!   with overload regions ([`parallel::parallel_fof`]). The same tree
-//!   serves the subhalo densities and the A* center bounds; the row-layout
-//!   reference traversal lives in the `conformance` crate.
+//!   with bounding-box pruning, and one k-d FOF with two entry points: the
+//!   non-periodic [`fof::fof_kdtree`] and the whole-box periodic
+//!   [`fof::fof_periodic`], which links ghost images across the faces. The
+//!   rank-parallel driver with overload regions ([`parallel::parallel_fof`])
+//!   runs the non-periodic one per block. The same tree serves the subhalo
+//!   densities and the A* center bounds; the row-layout traversal and the
+//!   periodic linked-cell engine live in the `conformance` crate as
+//!   references.
 //! * **MBP center finding** (§3.3.2) — the data-parallel O(n²) kernel
 //!   ([`mbp::mbp_brute`]) and the serial A* baseline ([`mbp::mbp_astar`]).
 //! * **Spherical overdensity masses** ([`so::so_mass`]).
@@ -37,7 +40,7 @@ pub mod unionfind;
 
 pub use catalog::{unwrap_positions, Halo, HaloCatalog};
 pub use columns::Coords;
-pub use fof::{fof_brute, fof_grid, fof_kdtree, members_by_group};
+pub use fof::{fof_brute, fof_kdtree, fof_periodic, members_by_group};
 pub use kdtree::{Aabb, KdTree};
 pub use massfn::{fit_power_law, FittedMassFunction, MassFunction};
 pub use mbp::{

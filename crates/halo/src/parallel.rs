@@ -10,7 +10,7 @@
 
 use crate::catalog::{Halo, HaloCatalog};
 use crate::columns::Coords;
-use crate::fof::{fof_kdtree, members_by_group};
+use crate::fof::{append_seam_images, fof_kdtree, members_by_group};
 use comm::{exchange_overload, CartDecomp, Communicator};
 use nbody::particle::Particle;
 
@@ -53,16 +53,15 @@ pub fn parallel_fof(
         (lo[2] + hi[2]) / 2.0,
     ];
     // Two parallel views of the extended particle set:
-    //  * `positions` — f64, with unwrapping/image shifts applied exactly
+    //  * `coords` — f64, with unwrapping/image shifts applied exactly
     //    (±L in f64 is lossless), used for the linking decisions so the
     //    distributed result is bit-identical to a single-domain periodic run;
     //  * `all` — the Particle records with f32-rounded unwrapped positions,
     //    kept for the catalog (center finding tolerates the f32 rounding).
     let l = decomp.box_size();
     let mut all: Vec<Particle> = Vec::with_capacity(nlocal + ghosts.len());
-    let mut positions: Vec<[f64; 3]> = Vec::with_capacity(nlocal + ghosts.len());
+    let mut coords = Coords::from_particles(locals);
     all.extend_from_slice(locals);
-    positions.extend(locals.iter().map(|p| p.pos_f64()));
     for g in ghosts {
         let mut q = g.pos_f64();
         for d in 0..3 {
@@ -75,39 +74,26 @@ pub fn parallel_fof(
         let mut p = g;
         p.pos = [q[0] as f32, q[1] as f32, q[2] as f32];
         all.push(p);
-        positions.push(q);
+        coords.push(q);
     }
 
     // Axes with a single block have no neighbor to exchange with, but the
     // box is still periodic there: add self-image copies of particles within
     // one overload width of the seam, shifted by ±L. Images count as ghosts
     // (index ≥ nlocal), so ownership logic is unaffected.
-    for d in 0..3 {
-        if decomp.dims()[d] != 1 {
-            continue;
-        }
-        let n_now = all.len();
-        for i in 0..n_now {
-            let x = positions[i][d];
-            let shift = if x - lo[d] < cfg.overload_width {
-                l
-            } else if hi[d] - x <= cfg.overload_width {
-                -l
-            } else {
-                continue;
-            };
-            let mut q = positions[i];
-            q[d] = x + shift;
-            let mut img = all[i];
-            img.pos[d] = q[d] as f32;
-            all.push(img);
-            positions.push(q);
-        }
+    let single: Vec<usize> = (0..3).filter(|&d| decomp.dims()[d] == 1).collect();
+    let before = coords.len();
+    let origins = append_seam_images(&mut coords, &single, lo, hi, cfg.overload_width, l);
+    for (k, &o) in origins.iter().enumerate() {
+        let q = coords.get(before + k);
+        let mut img = all[o as usize];
+        img.pos = [q[0] as f32, q[1] as f32, q[2] as f32];
+        all.push(img);
     }
 
     // Serial FOF on the extended patch (non-periodic: the shell covers the
     // seams).
-    let labels = fof_kdtree(&Coords::from_rows(&positions), cfg.link_length);
+    let labels = fof_kdtree(&coords, cfg.link_length);
     let groups = members_by_group(&labels);
 
     let mut catalog = HaloCatalog::new();
@@ -187,7 +173,7 @@ pub fn fof_and_centers_timed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fof::{canonical_partition, fof_grid};
+    use crate::fof::{canonical_partition, fof_periodic};
     use comm::World;
 
     /// Deterministic blob helper.
@@ -233,8 +219,7 @@ mod tests {
         let all = test_universe(box_size);
         let link = 0.45;
         // Reference: single-domain periodic FOF.
-        let positions: Vec<[f64; 3]> = all.iter().map(|p| p.pos_f64()).collect();
-        let ref_labels = fof_grid(&positions, link, box_size);
+        let ref_labels = fof_periodic(&Coords::from_particles(&all), link, box_size);
         let ref_groups: Vec<usize> = canonical_partition(&ref_labels)
             .into_iter()
             .map(|g| g.len())

@@ -88,7 +88,8 @@ fn dpp_differential_backends_agree() {
 /// MBP, radix, histogram) against its retained row-layout reference,
 /// bit-for-bit, on every backend, over the adversarial particle/coordinate
 /// corpus — NaN of either sign, ±inf, signed zeros, denormals, and
-/// grain-boundary lengths included.
+/// grain-boundary lengths included — and the periodic k-d FOF's labels
+/// against the linked-cell oracle's.
 #[test]
 fn layout_rewrites_agree_with_row_references() {
     let report = conformance::assert_layout_conformance();

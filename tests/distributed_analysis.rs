@@ -4,7 +4,7 @@
 
 use comm::{CartDecomp, World};
 use dpp::Threaded;
-use halo::{fof_grid, members_by_group, parallel_fof, FofConfig};
+use halo::{fof_periodic, members_by_group, parallel_fof, Coords, FofConfig};
 use nbody::{SimConfig, Simulation};
 
 #[test]
@@ -25,9 +25,15 @@ fn parallel_analysis_of_real_simulation_matches_single_domain() {
     let link = 0.2 * box_size / 24.0;
     let min_size = 30;
 
-    // Reference: single-domain periodic FOF.
+    // Reference: single-domain periodic FOF, whose labels must equal the
+    // linked-cell oracle's exactly on this real snapshot.
     let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
-    let labels = fof_grid(&positions, link, box_size);
+    let labels = fof_periodic(&Coords::from_particles(&particles), link, box_size);
+    assert_eq!(
+        labels,
+        conformance::reference::fof_grid(&positions, link, box_size),
+        "periodic k-d FOF labels drifted from the linked-cell oracle"
+    );
     let groups = members_by_group(&labels);
     let mut ref_sizes: Vec<usize> = groups
         .iter()
